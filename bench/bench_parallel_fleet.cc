@@ -42,8 +42,7 @@ struct ShardRow {
   // measurement window. TupleArena::FreshBytes is a process-global counter that
   // every thread feeds (including the K=1 single-threaded run — the old window
   // counter this column carried was 0 at K=1), so the column is live at every K.
-  // With arenas on this is the steady-state recycler miss rate; with arenas off
-  // it is the raw allocation churn of the engine.
+  // It is the steady-state recycler miss rate.
   double alloc_mb_per_s = 0;
   // Determinism columns — must match K=1 exactly.
   uint64_t tx_msgs = 0;
@@ -51,23 +50,11 @@ struct ShardRow {
   int correct_succ = 0;
 };
 
-// Engine hot-path toggles (defaults mirror NodeOptions). --no-arenas /
-// --no-batch / --no-zerocopy reproduce the pre-optimization engine so the
-// before/after artifacts come from one binary on one machine.
-struct HotPathToggles {
-  bool tuple_arenas = true;
-  bool batch_deltas = true;
-  bool zero_copy_decode = true;
-};
-
 ShardRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger,
-                  double settle_secs, const HotPathToggles& hot) {
+                  double settle_secs) {
   TestbedConfig cfg;
   cfg.num_nodes = num_nodes;
   cfg.fleet.shards = shards;
-  cfg.fleet.node_defaults.tuple_arenas = hot.tuple_arenas;
-  cfg.fleet.node_defaults.batch_deltas = hot.batch_deltas;
-  cfg.fleet.node_defaults.zero_copy_decode = hot.zero_copy_decode;
   // 50 ms one-way latency (a WAN-ish RTT of 100 ms): the conservative lookahead
   // equals the latency, so this is also the parallel window width. Narrower windows
   // shrink the per-window event population and with it the achievable overlap.
@@ -163,19 +150,16 @@ ShardRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger
   return row;
 }
 
-void Main(int num_nodes, double measure_secs, double stagger, double settle,
-          const HotPathToggles& hot) {
-  printf("=== parallel fleet scaling: %d-node monitored Chord, %g s window "
-         "(arenas=%s batch=%s zerocopy=%s) ===\n",
-         num_nodes, measure_secs, hot.tuple_arenas ? "on" : "off",
-         hot.batch_deltas ? "on" : "off", hot.zero_copy_decode ? "on" : "off");
+void Main(int num_nodes, double measure_secs, double stagger, double settle) {
+  printf("=== parallel fleet scaling: %d-node monitored Chord, %g s window ===\n",
+         num_nodes, measure_secs);
   printf("%-7s %10s %13s %10s %9s %9s %10s %10s %12s %12s %9s\n", "shards",
          "wall(s)", "critpath(s)", "busy(s)", "modeled", "windows", "xmsgs",
          "alloc-MB/s", "tx-msgs", "live-tuples", "succ-ok");
   BenchArtifact artifact("parallel_fleet");
   std::vector<ShardRow> rows;
   for (int shards : {1, 2, 4, 8}) {
-    ShardRow r = RunFleet(shards, num_nodes, measure_secs, stagger, settle, hot);
+    ShardRow r = RunFleet(shards, num_nodes, measure_secs, stagger, settle);
     printf("%-7d %10.2f %13.3f %10.3f %8.2fx %9llu %10llu %10.2f %12llu %12llu "
            "%6d/%d\n",
            r.shards, r.wall_secs, r.critical_path_secs, r.busy_secs,
@@ -227,7 +211,6 @@ int main(int argc, char** argv) {
   double measure = 30.0;
   double stagger = 0.25;
   double settle = 120.0;
-  p2::HotPathToggles hot;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
       nodes = std::atoi(argv[++i]);
@@ -237,20 +220,13 @@ int main(int argc, char** argv) {
       stagger = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--settle") == 0 && i + 1 < argc) {
       settle = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--no-arenas") == 0) {
-      hot.tuple_arenas = false;
-    } else if (std::strcmp(argv[i], "--no-batch") == 0) {
-      hot.batch_deltas = false;
-    } else if (std::strcmp(argv[i], "--no-zerocopy") == 0) {
-      hot.zero_copy_decode = false;
     } else {
       fprintf(stderr,
               "usage: bench_parallel_fleet [--nodes N] [--measure SECS] "
-              "[--stagger SECS] [--settle SECS] "
-              "[--no-arenas] [--no-batch] [--no-zerocopy]\n");
+              "[--stagger SECS] [--settle SECS]\n");
       return 2;
     }
   }
-  p2::Main(nodes, measure, stagger, settle, hot);
+  p2::Main(nodes, measure, stagger, settle);
   return 0;
 }

@@ -6,7 +6,7 @@ baseline and fails (exit 1) when a budgeted metric regresses beyond the
 allowed ratio. Used by CI's allocation-budget smoke step, which runs
 bench_parallel_fleet in short mode and gates on the committed
 BENCH_parallel_fleet_smoke.json (docs/SCALING.md "Memory model &
-hot-path batching").
+hot paths").
 
 Budgeted metrics (lower is better): cpu_ms_per_s, alloc_mb_per_s.
 Determinism columns (live_tuples, tx_msgs) must match the baseline

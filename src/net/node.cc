@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/net/network.h"
-#include "src/runtime/arena.h"
 #include "src/planner/planner.h"
 #include "src/trace/introspect.h"
 
@@ -21,12 +20,6 @@ Node::Node(std::string addr, Network* network, NodeOptions options, Scheduler* s
       shard_index_(shard_index),
       options_(options),
       rng_(options.seed) {
-  // Arena recycling is process-global (the free lists are thread-local, not
-  // per-node), so the toggle is last-writer-wins: fleets are expected to run
-  // with a uniform setting. Toggling is always safe — the size-class rounding
-  // is applied whether or not recycling is on, so blocks allocated in either
-  // mode free correctly in the other.
-  TupleArena::SetEnabled(options_.tuple_arenas);
   tracer_ = std::make_unique<Tracer>(addr_, &store_, options_.tracer_records_per_rule);
   InstallBuiltinTables();
   if (options_.forensics.enabled) {
@@ -257,28 +250,6 @@ void Node::TriggerStrand(Strand* strand, const TupleRef& event) {
   uint64_t start_ns = MonotonicNs();
   strand->Trigger(event);
   uint64_t elapsed = MonotonicNs() - start_ns;
-  ++m->execs;
-  m->busy_ns += elapsed;
-  m->emits += stats_.tuples_emitted - emitted_before;
-  trigger_hist_->Observe(elapsed);
-}
-
-void Node::TriggerStrandChained(Strand* strand, const TupleRef& event,
-                                uint64_t* clock_ns) {
-  ++stats_.strand_triggers;
-  RuleMetrics* m = strand->metrics();
-  if (m == nullptr) {
-    strand->Trigger(event);
-    *clock_ns = MonotonicNs();  // keep the chain's attribution exact
-    return;
-  }
-  uint64_t emitted_before = stats_.tuples_emitted;
-  strand->Trigger(event);
-  // The caller's clock reading doubles as this trigger's start: the end of the
-  // previous trigger in the dispatch loop is exactly the start of this one.
-  uint64_t end_ns = MonotonicNs();
-  uint64_t elapsed = end_ns - *clock_ns;
-  *clock_ns = end_ns;
   ++m->execs;
   m->busy_ns += elapsed;
   m->emits += stats_.tuples_emitted - emitted_before;
@@ -890,12 +861,7 @@ void Node::ReceiveBytes(const std::string& bytes) {
   ++stats_.msgs_received;
   stats_.bytes_received += bytes.size();
   WireEnvelope env;
-  // Both decoders accept exactly the same byte strings and produce identical
-  // envelopes (tests/net/wire_decode_equivalence_test.cc), so this toggle can
-  // never change behavior — only the cost of the unmarshal stage.
-  bool ok = options_.zero_copy_decode ? DecodeEnvelopeFast(bytes, &env)
-                                      : DecodeEnvelope(bytes, &env);
-  if (!ok) {
+  if (!DecodeEnvelope(bytes, &env)) {
     ++stats_.decode_errors;
     return;
   }
@@ -965,133 +931,9 @@ void Node::Drain() {
       }
       continue;
     }
-    // Batched delta propagation: a run of consecutive same-name insertions at
-    // the head of the primary queue shares one set of name-keyed lookups.
-    // Deletes and low-queue entries never batch (low_queue_ holds no kDeliver
-    // work, but keep the guard explicit).
-    if (!options_.batch_deltas || from_low || p.is_delete) {
-      ProcessDelivery(p);
-      continue;
-    }
-    run_buf_.clear();
-    const std::string& name = p.tuple->name();  // tuple outlives via run_buf_'s ref
-    run_buf_.push_back(std::move(p));
-    while (!queue_.empty()) {
-      Pending& q = queue_.front();
-      if (q.kind != Pending::Kind::kDeliver || q.is_delete ||
-          q.tuple->name() != name) {
-        break;
-      }
-      if (q.best_effort && be_in_queue_ > 0) {
-        --be_in_queue_;  // slot releases when the entry leaves the queue
-      }
-      run_buf_.push_back(std::move(q));
-      queue_.pop_front();
-    }
-    if (run_buf_.size() == 1) {
-      ProcessDelivery(run_buf_.front());
-    } else {
-      ProcessDeliveryRun(run_buf_);
-    }
-    run_buf_.clear();
+    ProcessDelivery(p);
   }
   draining_ = false;
-}
-
-void Node::ProcessDeliveryRun(const std::vector<Pending>& run) {
-  const std::string& name = run.front().tuple->name();
-  const double now = Now();  // virtual time is frozen for the whole Drain pass
-  const bool watched = watched_.count(name) > 0;
-  Table* table = catalog_.Get(name);
-  auto trig = triggers_.find(name);
-  std::vector<Strand*>* strands =
-      trig != triggers_.end() ? &trig->second : nullptr;
-  auto subs = subscribers_.find(name);
-  auto* sub_fns = subs != subscribers_.end() ? &subs->second : nullptr;
-  // Subscriber callbacks are host code and may load programs or crash the node
-  // mid-run, invalidating the hoisted lookups; refresh them after any tuple
-  // whose dispatch ran subscribers. Strand execution only enqueues, so the
-  // strand-only fast path keeps the lookups for the whole run.
-  const bool refresh_after_subs = sub_fns != nullptr && !sub_fns->empty();
-  for (const Pending& p : run) {
-    if (!up_) {
-      return;  // crashed mid-run: the popped remainder dies with the queue
-    }
-    ++stats_.local_deliveries;
-    if (watched) {
-      watch_log_.push_back(WatchEntry{now, p.tuple});
-      while (watch_log_.size() > 1000) {
-        watch_log_.pop_front();
-      }
-      if (watch_sink_) {
-        watch_sink_(now, p.tuple);
-      }
-    }
-    if (options_.tracing) {
-      tracer_->MemoizeArrival(p.tuple, p.src_addr.empty() ? addr_ : p.src_addr,
-                              p.src_tuple_id, now);
-    }
-    bool is_delta = true;
-    if (table != nullptr) {
-      InsertOutcome outcome = table->Insert(p.tuple, now);
-      is_delta = (outcome != InsertOutcome::kRefreshed);
-    }
-    if (is_delta) {
-      if (strands != nullptr) {
-        if (trigger_hist_ != nullptr) {
-          uint64_t clock_ns = MonotonicNs();
-          for (Strand* strand : *strands) {
-            if (low_priority_strands_.count(strand) > 0) {
-              if (AdmitLow()) {
-                Pending lp;
-                lp.kind = Pending::Kind::kLowTrigger;
-                lp.strand = strand;
-                lp.tuple = p.tuple;
-                low_queue_.push_back(std::move(lp));
-                NoteQueueDepth();
-              }
-              continue;
-            }
-            TriggerStrandChained(strand, p.tuple, &clock_ns);
-          }
-        } else {
-          for (Strand* strand : *strands) {
-            if (low_priority_strands_.count(strand) > 0) {
-              if (AdmitLow()) {
-                Pending lp;
-                lp.kind = Pending::Kind::kLowTrigger;
-                lp.strand = strand;
-                lp.tuple = p.tuple;
-                low_queue_.push_back(std::move(lp));
-                NoteQueueDepth();
-              }
-              continue;
-            }
-            TriggerStrand(strand, p.tuple);
-          }
-        }
-      }
-      if (sub_fns != nullptr) {
-        for (const auto& fn : *sub_fns) {
-          fn(p.tuple);
-        }
-      }
-    }
-    if (table == nullptr) {
-      bool consumed = (strands != nullptr && !strands->empty()) ||
-                      (sub_fns != nullptr && !sub_fns->empty());
-      if (!consumed) {
-        ++stats_.dead_letters;
-      }
-    }
-    if (refresh_after_subs) {
-      table = catalog_.Get(name);
-      trig = triggers_.find(name);
-      strands = trig != triggers_.end() ? &trig->second : nullptr;
-      subs = subscribers_.find(name);
-      sub_fns = subs != subscribers_.end() ? &subs->second : nullptr;
-    }
-  }
 }
 
 void Node::ProcessDelivery(const Pending& p) {

@@ -63,25 +63,6 @@ struct NodeOptions {
   // scan path (equivalence tests, scan-baseline benchmarks).
   bool use_join_indexes = true;
 
-  // ---- engine hot-path toggles (docs/SCALING.md "Memory model & hot-path
-  // batching"). All three are pure execution strategies: every combination
-  // produces bit-identical table digests, traces, and deterministic counters —
-  // the ablation-matrix suites assert exactly that.
-
-  // Recycle tuple storage (shared blocks + field vectors) through the per-thread
-  // free lists of src/runtime/arena.h. The underlying switch is process-global
-  // (TupleArena::SetEnabled); the node constructor writes this value through, so
-  // configure it fleet-uniformly.
-  bool tuple_arenas = true;
-  // When a run of consecutive same-name deliveries sits at the head of the
-  // pending queue, Drain processes it as one batch: the catalog/trigger/
-  // subscriber lookups and the clock read are done once for the run instead of
-  // per tuple. Per-tuple insert -> dispatch order is unchanged.
-  bool batch_deltas = true;
-  // Decode incoming envelopes with the single-pass fast decoder, materializing
-  // name/fields straight into their final arena-backed storage. Off = the legacy
-  // layered decoder; both accept and reject exactly the same byte strings.
-  bool zero_copy_decode = true;
   // Modeled delay for locally routed tuples (seconds of virtual time spent in the
   // node's queues between rule strands). Zero keeps local hand-off instantaneous;
   // nonzero makes the profiler's LocalT component (paper §3.2) observable.
@@ -361,19 +342,7 @@ class Node {
   };
 
   void ProcessDelivery(const Pending& p);
-  // Batched delta propagation (NodeOptions::batch_deltas): processes a maximal
-  // run of same-name non-delete deliveries popped from the primary queue. The
-  // name-keyed lookups (catalog, triggers, subscribers, watch set) and the
-  // virtual-clock read are hoisted over the run; each tuple still inserts and
-  // dispatches in exactly the unbatched order.
-  void ProcessDeliveryRun(const std::vector<Pending>& run);
   void DispatchEvent(const TupleRef& tuple);
-  // TriggerStrand with an externally chained wall clock: `*clock_ns` holds the
-  // current timestamp on entry and the post-trigger timestamp on return, so a
-  // dispatch loop touching S metrics-enabled strands pays S+1 monotonic clock
-  // reads instead of 2S. Metrics counters and the histogram observation count
-  // are identical to the unchained path.
-  void TriggerStrandChained(Strand* strand, const TupleRef& event, uint64_t* clock_ns);
   void SchedulePeriodic(Strand* strand, double period);
   void ScheduleSweep();
   void Sweep();
@@ -507,8 +476,6 @@ class Node {
   // Deferred low-priority work (strand triggers and aggregate re-evaluations):
   // drained only when queue_ is empty.
   std::deque<Pending> low_queue_;
-  // Reused scratch buffer for batched delta runs (see Drain / ProcessDeliveryRun).
-  std::vector<Pending> run_buf_;
   std::unordered_set<Strand*> low_priority_strands_;
   std::unordered_set<uint64_t> low_priority_aggs_;
   bool draining_ = false;

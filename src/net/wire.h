@@ -51,26 +51,21 @@ struct WireEnvelope {
   TupleRef tuple;
 };
 
-// Low-level codecs (exposed for tests).
+// Low-level codecs. DecodeValue / DecodeTuple read at `*pos` and advance it past
+// what they consumed; on failure `*pos` is left unchanged. Snapshot export and
+// forensics retention decode their stored tuples through these.
 void EncodeValue(const Value& v, std::string* out);
 bool DecodeValue(const std::string& in, size_t* pos, Value* out);
 void EncodeTuple(const Tuple& t, std::string* out);
 bool DecodeTuple(const std::string& in, size_t* pos, TupleRef* out);
 
-// Envelope codec. Decode returns false on any malformed input.
+// Envelope codec. Decode returns false on any malformed input, including
+// trailing bytes. It is a single raw-pointer pass that materializes the tuple's
+// name and fields straight into their final, arena-backed storage (the same
+// storage the receiver's table row will share), copying each string payload
+// exactly once from the wire buffer.
 std::string EncodeEnvelope(const WireEnvelope& env);
 bool DecodeEnvelope(const std::string& bytes, WireEnvelope* out);
-
-// Fast-path envelope decoder (NodeOptions::zero_copy_decode): accepts exactly
-// the same byte strings as DecodeEnvelope and produces an identical envelope.
-// The difference is mechanical, not semantic — a single raw-pointer cursor
-// instead of (buffer, index) pairs re-checking the buffer size per read, and
-// values materialized in place inside the tuple's exact-reserved, arena-backed
-// field vector (the same storage the receiver's table row will share), with
-// string payloads copied exactly once from the wire buffer into their final,
-// often SSO-inline, resting place. The legacy decoder is kept alongside so the
-// decode-equivalence suite can diff the two on every input.
-bool DecodeEnvelopeFast(const std::string& bytes, WireEnvelope* out);
 
 // ---- batched datagram frames (real-socket transport, src/net/udp_driver.h) ----
 //
@@ -83,14 +78,14 @@ bool DecodeEnvelopeFast(const std::string& bytes, WireEnvelope* out);
 //   u32 envelope count
 //   count x { u32 length | envelope bytes (EncodeEnvelope output, verbatim) }
 //
-// A legacy single-envelope datagram starts with its flags byte, which only uses
-// bits 0-2 (values 0..7), so a magic byte >= 8 can never collide with one: a
-// receiver dispatches on the first byte (IsBatchFrame) and still accepts
-// unbatched datagrams from older senders. Sub-envelopes keep their exact
-// per-envelope encoding — reliable/ack metadata rides along untouched, so the
-// reliable transport is batching-agnostic. The simulated Network never frames
-// (its per-message delivery is the determinism contract); only real-socket
-// drivers do.
+// Every real-socket sender frames its datagrams, even a lone envelope, so a
+// receiver accepts only datagrams that pass IsBatchFrame and counts the rest as
+// frame decode errors. A bare envelope starts with its flags byte, which only
+// uses bits 0-2 (values 0..7), so it can never pass for the magic byte (>= 8).
+// Sub-envelopes keep their exact per-envelope encoding — reliable/ack metadata
+// rides along untouched, so the reliable transport is batching-agnostic. The
+// simulated Network never frames (its per-message delivery is the determinism
+// contract); only real-socket drivers do.
 //
 // DecodeBatchFrame is strict: wrong magic or version, a truncated or oversized
 // sub-envelope length, a count mismatch, and trailing bytes all fail.

@@ -2,6 +2,15 @@
 
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define P2_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define P2_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define P2_POISON(p, n) ((void)(p), (void)(n))
+#define P2_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace p2 {
 
 namespace {
@@ -25,16 +34,32 @@ struct FreeNode {
   FreeNode* next;
 };
 
+// A parked block stays readable only in its link word; the rest is poisoned so
+// ASan reports any access through a dangling reference to recycled storage.
+void Park(FreeNode* node, FreeNode* next, std::size_t bytes) {
+  node->next = next;
+  P2_POISON(reinterpret_cast<char*>(node) + sizeof(FreeNode), bytes - sizeof(FreeNode));
+}
+
+// Undoes Park before a block is handed out again or returned to the heap.
+FreeNode* Unpark(FreeNode* node, std::size_t bytes) {
+  P2_UNPOISON(node, bytes);
+  return node;
+}
+
 struct ThreadCache {
   FreeNode* head[kNumClasses] = {};
   std::size_t count = 0;
 
-  ~ThreadCache() {
+  ~ThreadCache() { Release(); }
+
+  // Returns every parked block to the heap.
+  void Release() {
     for (std::size_t c = 0; c < kNumClasses; ++c) {
       FreeNode* node = head[c];
       while (node != nullptr) {
         FreeNode* next = node->next;
-        ::operator delete(node);
+        ::operator delete(Unpark(node, ClassSize(c)));
         node = next;
       }
       head[c] = nullptr;
@@ -50,7 +75,6 @@ ThreadCache& Cache() {
 
 }  // namespace
 
-std::atomic<bool> TupleArena::enabled_{true};
 std::atomic<std::uint64_t> TupleArena::fresh_bytes_{0};
 std::atomic<std::uint64_t> TupleArena::fresh_blocks_{0};
 std::atomic<std::uint64_t> TupleArena::recycled_blocks_{0};
@@ -65,17 +89,15 @@ void* TupleArena::Allocate(std::size_t size) {
     return ::operator new(size);
   }
   const std::size_t idx = ClassIndex(size);
-  if (Enabled()) {
-    ThreadCache& cache = Cache();
-    FreeNode* node = cache.head[idx];
-    if (node != nullptr) {
-      cache.head[idx] = node->next;
-      --cache.count;
-      recycled_blocks_.fetch_add(1, std::memory_order_relaxed);
-      return node;
-    }
-  }
   const std::size_t bytes = ClassSize(idx);
+  ThreadCache& cache = Cache();
+  FreeNode* node = cache.head[idx];
+  if (node != nullptr) {
+    cache.head[idx] = node->next;
+    --cache.count;
+    recycled_blocks_.fetch_add(1, std::memory_order_relaxed);
+    return Unpark(node, bytes);
+  }
   fresh_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   fresh_blocks_.fetch_add(1, std::memory_order_relaxed);
   return ::operator new(bytes);
@@ -92,32 +114,16 @@ void TupleArena::Deallocate(void* p, std::size_t size) noexcept {
     ::operator delete(p);
     return;
   }
-  if (Enabled()) {
-    ThreadCache& cache = Cache();
-    const std::size_t idx = ClassIndex(size);
-    FreeNode* node = static_cast<FreeNode*>(p);
-    node->next = cache.head[idx];
-    cache.head[idx] = node;
-    ++cache.count;
-    return;
-  }
-  ::operator delete(p);
+  ThreadCache& cache = Cache();
+  const std::size_t idx = ClassIndex(size);
+  FreeNode* node = static_cast<FreeNode*>(p);
+  Park(node, cache.head[idx], ClassSize(idx));
+  cache.head[idx] = node;
+  ++cache.count;
 }
 
 std::size_t TupleArena::ThreadCachedBlocks() { return Cache().count; }
 
-void TupleArena::TrimThreadCache() {
-  ThreadCache& cache = Cache();
-  for (std::size_t c = 0; c < kNumClasses; ++c) {
-    FreeNode* node = cache.head[c];
-    while (node != nullptr) {
-      FreeNode* next = node->next;
-      ::operator delete(node);
-      node = next;
-    }
-    cache.head[c] = nullptr;
-  }
-  cache.count = 0;
-}
+void TupleArena::TrimThreadCache() { Cache().Release(); }
 
 }  // namespace p2

@@ -9,7 +9,7 @@
 // cached block — no malloc, no lock. Everything larger than the biggest class falls
 // through to plain operator new/delete.
 //
-// Ownership rules (docs/SCALING.md "Memory model & hot-path batching"):
+// Ownership rules (docs/SCALING.md "Memory model & hot paths"):
 //  * The arena is a recycler, not an owner: every block is ordinary
 //    operator-new memory, and a block's lifetime is still governed by whoever
 //    holds the TupleRef / ValueList that lives in it. Refcounted sharing across
@@ -19,14 +19,13 @@
 //    owns its nodes outright, so a shard's churn recycles within the shard; a
 //    block freed on a different thread (e.g. host-side digesting) simply joins
 //    that thread's cache. Caches release to the heap on thread exit.
-//  * SetEnabled is process-global and only gates recycling. Blocks allocated
-//    while enabled are freed correctly after disabling and vice versa, because
-//    class rounding is applied identically in both states.
+//  * Under AddressSanitizer every parked block is poisoned except its free-list
+//    link word, and unpoisoned when popped, so a use-after-free of recycled
+//    tuple storage still aborts the ASan build.
 //
 // FreshBytes() counts bytes actually obtained from the heap (recycled pops count
-// zero), in both enabled and disabled states — this is the allocation-rate column
-// reported by bench_parallel_fleet: with the arena disabled it tracks raw tuple
-// churn; enabled, it drops to the steady-state miss rate.
+// zero) — this is the allocation-rate column reported by bench_parallel_fleet:
+// in steady state it is the recycler's miss rate.
 
 #ifndef SRC_RUNTIME_ARENA_H_
 #define SRC_RUNTIME_ARENA_H_
@@ -39,12 +38,6 @@ namespace p2 {
 
 class TupleArena {
  public:
-  // Gates recycling only; allocation stays correct across toggles. Effectively
-  // process-global — the per-node ablation toggle (NodeOptions::tuple_arenas)
-  // writes through to this and is documented as fleet-uniform.
-  static void SetEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
-
   // Returns a block of at least `size` bytes (class-rounded). Never null for
   // reasonable sizes; allocation failure throws std::bad_alloc like operator new.
   static void* Allocate(std::size_t size);
@@ -70,7 +63,6 @@ class TupleArena {
   static void TrimThreadCache();
 
  private:
-  static std::atomic<bool> enabled_;
   static std::atomic<std::uint64_t> fresh_bytes_;
   static std::atomic<std::uint64_t> fresh_blocks_;
   static std::atomic<std::uint64_t> recycled_blocks_;

@@ -249,17 +249,6 @@ std::string ScheduleToScenario(const Schedule& s, const Ablation& ablation) {
     // Appended only when on so pre-existing scenario files round-trip unchanged.
     out << " limits=on";
   }
-  // Hot-path toggles render only when off (their default is on), again so older
-  // scenario files stay canonical fixed points.
-  if (!ablation.tuple_arenas) {
-    out << " arenas=off";
-  }
-  if (!ablation.batch_deltas) {
-    out << " batch=off";
-  }
-  if (!ablation.zero_copy_decode) {
-    out << " zerocopy=off";
-  }
   out << "\n";
   out << "net latency=" << FmtNum(p.latency) << " jitter=" << FmtNum(p.jitter)
       << " loss=" << FmtNum(p.loss) << " seed=" << FmtU64(s.seed)
@@ -282,15 +271,6 @@ std::string ScheduleToScenario(const Schedule& s, const Ablation& ablation) {
     }
     if (!ablation.reliable_transport) {
       out << " reliable=off";
-    }
-    if (!ablation.tuple_arenas) {
-      out << " arenas=off";
-    }
-    if (!ablation.batch_deltas) {
-      out << " batch=off";
-    }
-    if (!ablation.zero_copy_decode) {
-      out << " zerocopy=off";
     }
     out << "\n";
   }
@@ -445,10 +425,6 @@ bool ScenarioToSchedule(const std::string& text, Schedule* out, std::string* err
         ablation.reliable_transport = kv["reliable"] != "off";
         ablation.forensics = kv["forensics"] != "off";
         ablation.overload_limits = kv["limits"] == "on";  // absent in older files
-        // Hot-path toggles: absent (older files) means on.
-        ablation.tuple_arenas = kv["arenas"] != "off";
-        ablation.batch_deltas = kv["batch"] != "off";
-        ablation.zero_copy_decode = kv["zerocopy"] != "off";
       } else if (words.size() >= 2 && words[1] == "events") {
         in_events = true;
         cursor = s.profile.warmup;

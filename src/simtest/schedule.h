@@ -39,13 +39,6 @@ struct Ablation {
   // identical across shard counts, not to the limits-off run. The overload oracle
   // (#9) arms when this is on.
   bool overload_limits = false;
-  // Engine hot-path toggles (docs/SCALING.md "Memory model & hot-path batching").
-  // All three default on, matching NodeOptions; each is a pure mechanical
-  // optimization, so flipping any of them must leave table digests, traces, and
-  // deterministic counters bit-identical (the differential runner checks this).
-  bool tuple_arenas = true;
-  bool batch_deltas = true;
-  bool zero_copy_decode = true;
 };
 
 // The canonical `limits` line rendered when Ablation::overload_limits is on —

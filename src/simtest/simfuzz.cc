@@ -235,25 +235,17 @@ std::vector<std::string> DifferentialRun(const Schedule& schedule) {
     diffs.push_back("base run failed: " + base.script_error);
     return diffs;
   }
-  // Join indexes, metrics, and forensics retention are pure observers, and the
-  // engine hot-path toggles (arenas, delta batching, zero-copy decode) are pure
-  // mechanical optimizations: turning any of them off must leave every
-  // deterministic table bit-identical on the same seed.
-  for (const char* which :
-       {"indexes", "metrics", "forensics", "arenas", "batch", "zerocopy"}) {
+  // Join indexes, metrics, and forensics retention are pure observers: turning
+  // any of them off must leave every deterministic table bit-identical on the
+  // same seed.
+  for (const char* which : {"indexes", "metrics", "forensics"}) {
     SimFuzzOptions opts;
     if (std::string(which) == "indexes") {
       opts.ablation.use_join_indexes = false;
     } else if (std::string(which) == "metrics") {
       opts.ablation.metrics = false;
-    } else if (std::string(which) == "forensics") {
-      opts.ablation.forensics = false;
-    } else if (std::string(which) == "arenas") {
-      opts.ablation.tuple_arenas = false;
-    } else if (std::string(which) == "batch") {
-      opts.ablation.batch_deltas = false;
     } else {
-      opts.ablation.zero_copy_decode = false;
+      opts.ablation.forensics = false;
     }
     RunResult ablated = RunSchedule(schedule, opts);
     if (!ablated.script_ok) {

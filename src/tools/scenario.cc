@@ -522,20 +522,6 @@ bool ScenarioRunner::RunLine(const std::string& raw, std::string* error) {
         if (!ParseOnOff(v, "reliable", &opts.reliable_transport, error)) {
           return false;
         }
-      } else if (k == "arenas") {
-        // Engine hot-path toggles (docs/SCALING.md): pure mechanical ablations,
-        // digests must not depend on them.
-        if (!ParseOnOff(v, "arenas", &opts.tuple_arenas, error)) {
-          return false;
-        }
-      } else if (k == "batch") {
-        if (!ParseOnOff(v, "batch", &opts.batch_deltas, error)) {
-          return false;
-        }
-      } else if (k == "zerocopy") {
-        if (!ParseOnOff(v, "zerocopy", &opts.zero_copy_decode, error)) {
-          return false;
-        }
       } else {
         *error = "unknown node option: " + words[i];
         return false;

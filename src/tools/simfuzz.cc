@@ -16,9 +16,6 @@
 //           [--differential]              diff table digests across config ablations
 //           [--limits]                    run every node under the canonical overload
 //                                         limits (arms the overload oracle)
-//           [--no-arenas] [--no-batch] [--no-zerocopy]
-//                                         disable an engine hot-path optimization
-//                                         (pure ablations: digests must not change)
 //           [--broken-oracle]             plant the test-only always-wrong oracle
 //           [--bench]                     write BENCH_simfuzz.json (wall clock,
 //                                         iterations/sec) via bench_common
@@ -60,8 +57,7 @@ int Usage() {
           "[--nodes N] [--shards K]\n"
           "               [--shrink] [--scenario-out PATH] [--chains-out PATH]\n"
           "               [--print-scenario]\n"
-          "               [--replay FILE] [--differential] [--limits]\n"
-          "               [--no-arenas] [--no-batch] [--no-zerocopy] [--broken-oracle]\n"
+          "               [--replay FILE] [--differential] [--limits] [--broken-oracle]\n"
           "               [--bench] [--list-oracles]\n");
   return 2;
 }
@@ -157,12 +153,6 @@ int main(int argc, char** argv) {
       differential = true;
     } else if (arg == "--limits") {
       opts.ablation.overload_limits = true;
-    } else if (arg == "--no-arenas") {
-      opts.ablation.tuple_arenas = false;
-    } else if (arg == "--no-batch") {
-      opts.ablation.batch_deltas = false;
-    } else if (arg == "--no-zerocopy") {
-      opts.ablation.zero_copy_decode = false;
     } else if (arg == "--broken-oracle") {
       opts.broken_oracle = true;
     } else if (arg == "--bench") {
@@ -266,7 +256,7 @@ int main(int argc, char** argv) {
         break;
       }
       printf("seed %llu: differential clean "
-             "(indexes/metrics/forensics/arenas/batch/zerocopy/reliable/limits)\n",
+             "(indexes/metrics/forensics/reliable/limits)\n",
              static_cast<unsigned long long>(s));
     }
   }

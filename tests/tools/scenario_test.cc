@@ -290,6 +290,15 @@ TEST_F(ScenarioTest, NodeAblationOptionsParse) {
   std::string error;
   EXPECT_FALSE(runner.RunScript("node a indexes=maybe\n", &error));
   EXPECT_NE(error.find("indexes must be on|off"), std::string::npos) << error;
+  // The removed engine hot-path toggles are unknown options like any other.
+  for (const char* option : {"arenas=off", "batch=off", "zerocopy=on"}) {
+    ScenarioRunner strict([](const std::string&) {});
+    std::string line = std::string("node a\nnode b ") + option + "\n";
+    EXPECT_FALSE(strict.RunScript(line, &error)) << option;
+    EXPECT_NE(error.find(std::string("line 2: unknown node option: ") + option),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST_F(ScenarioTest, LimitsDirectiveCapsNodesCreatedAfterIt) {
