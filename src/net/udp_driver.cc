@@ -196,21 +196,16 @@ void UdpDriver::FlushBatches() {
 
 void UdpDriver::DeliverDatagram(Node* node, const char* data, size_t len) {
   std::string datagram(data, len);
-  if (IsBatchFrame(datagram)) {
-    std::vector<std::string> envelopes;
-    if (!DecodeBatchFrame(datagram, &envelopes)) {
-      ++frame_decode_errors_;
-      return;
-    }
-    envelopes_received_ += envelopes.size();
-    for (const std::string& env : envelopes) {
-      node->ReceiveBytes(env);
-    }
+  std::vector<std::string> envelopes;
+  // Every sender frames, so an unframed datagram is as corrupt as a bad frame.
+  if (!IsBatchFrame(datagram) || !DecodeBatchFrame(datagram, &envelopes)) {
+    ++frame_decode_errors_;
     return;
   }
-  // Unframed single envelope (legacy sender): deliver as-is.
-  ++envelopes_received_;
-  node->ReceiveBytes(datagram);
+  envelopes_received_ += envelopes.size();
+  for (const std::string& env : envelopes) {
+    node->ReceiveBytes(env);
+  }
 }
 
 double UdpDriver::WallNow() const { return SteadySeconds(); }

@@ -14,8 +14,8 @@
 //    single-process deployment exercises the identical transport path;
 //  * outbound envelopes bound for the same destination within one pump iteration
 //    coalesce into a single batched datagram (wire.h batch frames), cutting
-//    syscall and header overhead on gossip-heavy monitors; unbatched datagrams
-//    from legacy senders are still accepted;
+//    syscall and header overhead on gossip-heavy monitors; every datagram is
+//    framed, and an unframed one is counted as a frame decode error and dropped;
 //  * the Network's virtual clock is pumped against the wall clock by a poll-driven
 //    event loop: it sleeps until the next timer or datagram (no busy-wait) and
 //    re-anchors wall->virtual per RunFor call, so repeated short slices never
@@ -92,7 +92,7 @@ class UdpDriver {
   // Envelopes whose destination neither appears in the peer map nor parses as
   // "host:port" (typically: sends racing ahead of the rendezvous exchange).
   uint64_t unroutable_dropped() const { return unroutable_dropped_; }
-  // Malformed batch frames / datagrams rejected on receive.
+  // Datagrams rejected on receive: malformed batch frames and unframed bytes.
   uint64_t frame_decode_errors() const { return frame_decode_errors_; }
   double batch_ratio() const {
     return datagrams_sent_ == 0 ? 0.0

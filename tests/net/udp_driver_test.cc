@@ -4,9 +4,14 @@
 // process stand in for two OS processes; they can only talk through the sockets,
 // with RegisterPeer standing in for the fleetd rendezvous exchange.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "src/chord/chord.h"
@@ -107,6 +112,44 @@ TEST(UdpDriverTest, BatchingCoalescesSameDestinationTuples) {
   EXPECT_LT(da->datagrams_sent(), da->envelopes_sent());
   EXPECT_GT(da->batch_ratio(), 2.0);
   EXPECT_EQ(fleet_b.udp()->frame_decode_errors(), 0u);
+}
+
+// Every sender frames its datagrams, so a bare envelope on the wire is corrupt:
+// the driver counts it as a frame decode error and delivers nothing.
+TEST(UdpDriverTest, UnframedDatagramIsDroppedAndCounted) {
+  Fleet fleet(UdpConfig(6));
+  NodeHandle b = fleet.AddNode("b");
+  ASSERT_TRUE(b.valid());
+  std::string error;
+  ASSERT_TRUE(b.Load("materialize(greetings, infinity, 10, keys(1,2)).", &error))
+      << error;
+
+  // b's "host:port" from the peer map, as a sockaddr.
+  std::string host_port = fleet.udp()->SocketAddrOf("b");
+  size_t colon = host_port.rfind(':');
+  ASSERT_NE(colon, std::string::npos) << host_port;
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(static_cast<uint16_t>(std::atoi(host_port.c_str() + colon + 1)));
+  ASSERT_EQ(inet_pton(AF_INET, host_port.substr(0, colon).c_str(), &to.sin_addr), 1);
+
+  WireEnvelope env;
+  env.src_addr = "a";
+  env.tuple = Tuple::Make("greetings", {Value::Str("b"), Value::Str("a"), Value::Int(7)});
+  std::string bytes = EncodeEnvelope(env);
+  ASSERT_FALSE(IsBatchFrame(bytes));
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  ssize_t sent = ::sendto(fd, bytes.data(), bytes.size(), 0,
+                          reinterpret_cast<sockaddr*>(&to), sizeof(to));
+  ::close(fd);
+  ASSERT_EQ(sent, static_cast<ssize_t>(bytes.size()));
+
+  fleet.RunFor(0.2);
+  EXPECT_EQ(fleet.udp()->datagrams_received(), 1u);
+  EXPECT_EQ(fleet.udp()->frame_decode_errors(), 1u);
+  EXPECT_EQ(fleet.udp()->envelopes_received(), 0u);
+  EXPECT_TRUE(b.Query("greetings").empty());
 }
 
 TEST(UdpDriverTest, PeriodicRulesFireInWallClockTime) {

@@ -225,8 +225,8 @@ TEST(WireTest, BatchFrameBuilderMatchesEncode) {
 }
 
 TEST(WireTest, BatchFrameFirstByteNeverCollidesWithEnvelopes) {
-  // The receiver dispatches on the first byte: legacy single-envelope datagrams
-  // start with a flags byte in [0, 8), the frame magic is 0xB7.
+  // Receivers accept only framed datagrams: a bare envelope starts with a flags
+  // byte in [0, 8), so it can never pass for the 0xB7 frame magic.
   for (const std::string& e : SampleEnvelopes(6)) {
     EXPECT_FALSE(IsBatchFrame(e));
     EXPECT_LT(static_cast<uint8_t>(e[0]), 8);
