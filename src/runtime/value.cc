@@ -251,7 +251,7 @@ Value Value::Add(const Value& a, const Value& b) {
   if (IsDoubleKind(a) || IsDoubleKind(b)) {
     return Double(a.ToDouble() + b.ToDouble());
   }
-  return Int(a.ToInt() + b.ToInt());
+  return Int(static_cast<int64_t>(a.ToUint() + b.ToUint()));  // wraps mod 2^64
 }
 
 Value Value::Sub(const Value& a, const Value& b) {
@@ -264,7 +264,7 @@ Value Value::Sub(const Value& a, const Value& b) {
   if (IsDoubleKind(a) || IsDoubleKind(b)) {
     return Double(a.ToDouble() - b.ToDouble());
   }
-  return Int(a.ToInt() - b.ToInt());
+  return Int(static_cast<int64_t>(a.ToUint() - b.ToUint()));  // wraps mod 2^64
 }
 
 Value Value::Mul(const Value& a, const Value& b) {
@@ -277,7 +277,7 @@ Value Value::Mul(const Value& a, const Value& b) {
   if (IsDoubleKind(a) || IsDoubleKind(b)) {
     return Double(a.ToDouble() * b.ToDouble());
   }
-  return Int(a.ToInt() * b.ToInt());
+  return Int(static_cast<int64_t>(a.ToUint() * b.ToUint()));  // wraps mod 2^64
 }
 
 Value Value::Div(const Value& a, const Value& b) {
@@ -321,13 +321,16 @@ Value Value::Mod(const Value& a, const Value& b) {
   if (m == 0) {
     return Null();
   }
+  if (m == -1) {
+    return Int(0);  // INT64_MIN % -1 traps on x86
+  }
   return Int(a.ToInt() % m);
 }
 
 Value Value::Neg(const Value& a) {
   switch (a.kind_) {
     case Kind::kInt:
-      return Int(-a.i_);
+      return Int(static_cast<int64_t>(0 - static_cast<uint64_t>(a.i_)));
     case Kind::kId:
       return Id(~a.u_ + 1);
     case Kind::kDouble:

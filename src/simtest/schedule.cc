@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <utility>
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
+#include "src/tools/scenario.h"
 
 namespace p2 {
 namespace simtest {
@@ -48,56 +48,34 @@ std::string PartitionGroups(int split, int num_nodes, bool first_group) {
   return Join(addrs, ",");
 }
 
-bool ParseKvNum(const std::map<std::string, std::string>& kv, const std::string& key,
-                double* out, std::string* error) {
-  auto it = kv.find(key);
-  if (it == kv.end()) {
-    *error = "missing " + key;
-    return false;
-  }
-  *out = std::strtod(it->second.c_str(), nullptr);
-  return true;
-}
-
-std::map<std::string, std::string> KvPairs(const std::vector<std::string>& words,
-                                           size_t from) {
-  std::map<std::string, std::string> kv;
-  for (size_t i = from; i < words.size(); ++i) {
-    size_t eq = words[i].find('=');
-    if (eq != std::string::npos) {
-      kv[words[i].substr(0, eq)] = words[i].substr(eq + 1);
+// Index of "n<i>" among the profile's nodes; -1 for any other name.
+int IndexOfAddr(const std::string& addr, int num_nodes) {
+  for (int i = 0; i < num_nodes; ++i) {
+    if (addr == AddrOf(i)) {
+      return i;
     }
   }
-  return kv;
+  return -1;
 }
 
-// Splits on runs of spaces (scenario lines never quote spaces in simfuzz output).
-std::vector<std::string> SplitWords(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : line) {
-    if (c == ' ' || c == '\t') {
-      if (!cur.empty()) {
-        out.push_back(cur);
-        cur.clear();
-      }
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) {
-    out.push_back(cur);
-  }
-  return out;
-}
-
-// Parses "n<i>" back to i; returns -1 on anything else.
-int IndexOfAddr(const std::string& addr) {
-  if (addr.size() < 2 || addr[0] != 'n' ||
-      addr.find_first_not_of("0123456789", 1) != std::string::npos) {
-    return -1;
-  }
-  return static_cast<int>(std::strtol(addr.c_str() + 1, nullptr, 10));
+// The `key=value` words of the `# simfuzz`, `# profile` and `# ablation` header
+// comments (each introduced by its bare tag), plus the `# events` / `# epilogue`
+// section markers.
+const std::vector<ScenarioParam>& HeaderParams() {
+  using P = ScenarioParam;
+  static const std::vector<ScenarioParam> params = {
+      P::Flag("simfuzz"), P::U64("seed"),
+      P::Flag("profile"), P::U64("nodes"), P::Duration("warmup"),
+      P::Duration("duration"), P::Duration("settle"), P::Duration("latency"),
+      P::Duration("jitter"), P::Rate("loss"), P::Duration("snap_period"),
+      P::Duration("abort"), P::Duration("check"), P::Duration("probe"),
+      P::U64("churn"), P::U64("linkfaults"), P::U64("partitions"), P::U64("puts"),
+      P::U64("gets"), P::U64("shards"),
+      P::Flag("ablation"), P::OnOff("indexes"), P::OnOff("metrics"),
+      P::OnOff("reliable"), P::OnOff("forensics"), P::OnOff("limits"),
+      P::Flag("events"), P::Flag("epilogue"),
+  };
+  return params;
 }
 
 }  // namespace
@@ -349,173 +327,119 @@ std::string ScheduleToScenario(const Schedule& s, const Ablation& ablation) {
   return out.str();
 }
 
-bool ScenarioToSchedule(const std::string& text, Schedule* out, std::string* error) {
+bool ScenarioToSchedule(const std::string& text, Schedule* out, std::string* error,
+                        Ablation* ablation_out) {
   Schedule s;
   Ablation ablation;
   bool saw_seed = false;
   bool saw_profile = false;
   bool in_events = false;
-  bool in_epilogue = false;
   double cursor = 0;  // absolute virtual time implied by `run` lines
   std::istringstream in(text);
   std::string line;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::vector<std::string> words = SplitWords(line);
-    if (words.empty()) {
-      continue;
-    }
     auto fail = [&](const std::string& msg) {
       *error = StrFormat("line %d: %s", line_no, msg.c_str());
       return false;
     };
-    if (words[0] == "#") {
-      if (words.size() >= 2 && words[1] == "simfuzz") {
-        std::map<std::string, std::string> kv = KvPairs(words, 2);
-        auto it = kv.find("seed");
-        if (it == kv.end()) {
-          return fail("simfuzz header missing seed");
-        }
-        s.seed = std::strtoull(it->second.c_str(), nullptr, 10);
+    ScenarioCommand cmd;
+    std::string line_error;
+    if (!ParseScenarioLine(line, &cmd, &line_error)) {
+      return fail(line_error);
+    }
+    if (cmd.directive == nullptr) {
+      ScenarioCommand header;
+      if (!ParseScenarioOptions(cmd.comment, HeaderParams(), "header", &header,
+                                &line_error)) {
+        return fail("scenario is not in canonical simfuzz form (" + line_error + ")");
+      }
+      if (header.Find("simfuzz") != nullptr) {
+        header.Get("seed", &s.seed);
         saw_seed = true;
-      } else if (words.size() >= 2 && words[1] == "profile") {
-        std::map<std::string, std::string> kv = KvPairs(words, 2);
+      }
+      if (header.Find("profile") != nullptr) {
         FuzzProfile& p = s.profile;
-        double v = 0;
-        struct Field {
-          const char* key;
-          double* dval;
-          int* ival;
-        };
-        Field fields[] = {
-            {"nodes", nullptr, &p.num_nodes},
-            {"warmup", &p.warmup, nullptr},
-            {"duration", &p.duration, nullptr},
-            {"settle", &p.settle, nullptr},
-            {"latency", &p.latency, nullptr},
-            {"jitter", &p.jitter, nullptr},
-            {"loss", &p.loss, nullptr},
-            {"snap_period", &p.snap_period, nullptr},
-            {"abort", &p.snap_abort, nullptr},
-            {"check", &p.snap_check, nullptr},
-            {"probe", &p.probe_period, nullptr},
-            {"churn", nullptr, &p.churn_events},
-            {"linkfaults", nullptr, &p.linkfault_events},
-            {"partitions", nullptr, &p.partition_events},
-            {"puts", nullptr, &p.put_events},
-            {"gets", nullptr, &p.get_events},
-            {"shards", nullptr, &p.shards},
-        };
-        for (const Field& f : fields) {
-          if (!ParseKvNum(kv, f.key, &v, error)) {
-            return fail(*error);
-          }
-          if (f.dval != nullptr) {
-            *f.dval = v;
-          } else {
-            *f.ival = static_cast<int>(v);
-          }
-        }
+        header.Get("nodes", &p.num_nodes);
+        header.Get("warmup", &p.warmup);
+        header.Get("duration", &p.duration);
+        header.Get("settle", &p.settle);
+        header.Get("latency", &p.latency);
+        header.Get("jitter", &p.jitter);
+        header.Get("loss", &p.loss);
+        header.Get("snap_period", &p.snap_period);
+        header.Get("abort", &p.snap_abort);
+        header.Get("check", &p.snap_check);
+        header.Get("probe", &p.probe_period);
+        header.Get("churn", &p.churn_events);
+        header.Get("linkfaults", &p.linkfault_events);
+        header.Get("partitions", &p.partition_events);
+        header.Get("puts", &p.put_events);
+        header.Get("gets", &p.get_events);
+        header.Get("shards", &p.shards);
         saw_profile = true;
-      } else if (words.size() >= 2 && words[1] == "ablation") {
-        std::map<std::string, std::string> kv = KvPairs(words, 2);
-        ablation.use_join_indexes = kv["indexes"] != "off";
-        ablation.metrics = kv["metrics"] != "off";
-        ablation.reliable_transport = kv["reliable"] != "off";
-        ablation.forensics = kv["forensics"] != "off";
-        ablation.overload_limits = kv["limits"] == "on";  // absent in older files
-      } else if (words.size() >= 2 && words[1] == "events") {
+      }
+      header.Get("indexes", &ablation.use_join_indexes);
+      header.Get("metrics", &ablation.metrics);
+      header.Get("reliable", &ablation.reliable_transport);
+      header.Get("forensics", &ablation.forensics);
+      header.Get("limits", &ablation.overload_limits);  // absent in older files
+      if (header.Find("events") != nullptr) {
         in_events = true;
         cursor = s.profile.warmup;
-      } else if (words.size() >= 2 && words[1] == "epilogue") {
-        in_epilogue = true;
+      }
+      if (header.Find("epilogue") != nullptr) {
         in_events = false;
       }
       continue;
     }
-    if (words[0] == "run") {
-      if (words.size() != 2) {
-        return fail("run <secs>");
-      }
-      cursor += std::strtod(words[1].c_str(), nullptr);
+    if (cmd.name == "run") {
+      cursor += cmd.args[0].num;
       continue;
     }
     if (!in_events) {
-      // Setup and epilogue directives are regenerated from the profile; accept the
-      // known shapes and ignore them.
-      if (words[0] == "net" || words[0] == "node" || words[0] == "chord" ||
-          words[0] == "monitors" || words[0] == "dht" || words[0] == "forensics" ||
-          words[0] == "limits" ||
-          (in_epilogue && (words[0] == "heal" || words[0] == "linkfault" ||
-                           words[0] == "recover"))) {
-        continue;
-      }
-      return fail("unexpected directive outside the event window: " + words[0]);
+      // Setup and epilogue directives are regenerated from the profile; the
+      // fixed-point check below rejects any that differ from the canonical ones.
+      continue;
     }
+    // A partition is read as its split point alone: the fixed-point check below
+    // rejects any grouping but the canonical one.
+    const int n = s.profile.num_nodes;
     SimEvent e;
     e.at = QuantMs(cursor - s.profile.warmup);
-    if (words[0] == "crash" || words[0] == "recover") {
-      if (words.size() != 2 || IndexOfAddr(words[1]) < 0) {
-        return fail(words[0] + " <n-addr>");
-      }
-      e.kind = words[0] == "crash" ? EvKind::kCrash : EvKind::kRecover;
-      e.a = IndexOfAddr(words[1]);
-    } else if (words[0] == "linkfault") {
-      if (words.size() < 3 || IndexOfAddr(words[1]) < 0 || IndexOfAddr(words[2]) < 0) {
-        return fail("linkfault <src> <dst> [k=v ...]");
-      }
-      e.a = IndexOfAddr(words[1]);
-      e.b = IndexOfAddr(words[2]);
-      if (words.size() == 3) {
-        e.kind = EvKind::kLinkClear;
-      } else {
-        e.kind = EvKind::kLinkFault;
-        std::map<std::string, std::string> kv = KvPairs(words, 3);
-        e.loss = std::strtod(kv["loss"].c_str(), nullptr);
-        e.dup = std::strtod(kv["dup"].c_str(), nullptr);
-        e.reorder = std::strtod(kv["reorder"].c_str(), nullptr);
-        e.latency = std::strtod(kv["latency"].c_str(), nullptr);
-      }
-    } else if (words[0] == "partition") {
-      if (words.size() != 3) {
-        return fail("partition <group> <group>");
-      }
-      std::vector<std::string> group_a = Split(words[1], ',');
-      std::vector<std::string> group_b = Split(words[2], ',');
+    if (cmd.name == "crash" || cmd.name == "recover") {
+      e.kind = cmd.name == "crash" ? EvKind::kCrash : EvKind::kRecover;
+      e.a = IndexOfAddr(cmd.args[0].text, n);
+    } else if (cmd.name == "linkfault") {
+      e.kind = cmd.options.empty() ? EvKind::kLinkClear : EvKind::kLinkFault;
+      e.a = IndexOfAddr(cmd.args[0].text, n);
+      e.b = IndexOfAddr(cmd.args[1].text, n);
+      cmd.Get("loss", &e.loss);
+      cmd.Get("dup", &e.dup);
+      cmd.Get("reorder", &e.reorder);
+      cmd.Get("latency", &e.latency);
+    } else if (cmd.name == "partition") {
       e.kind = EvKind::kPartition;
-      e.b = static_cast<int>(group_a.size());
-      // Only the canonical prefix/suffix split round-trips.
-      if (static_cast<int>(group_a.size() + group_b.size()) != s.profile.num_nodes) {
-        return fail("non-canonical partition groups");
-      }
-      for (int i = 0; i < s.profile.num_nodes; ++i) {
-        const std::string& got = i < e.b ? group_a[i] : group_b[i - e.b];
-        if (got != AddrOf(i)) {
-          return fail("non-canonical partition groups");
-        }
-      }
-    } else if (words[0] == "heal") {
+      e.b = static_cast<int>(Split(cmd.args[0].text, ',').size());
+    } else if (cmd.name == "heal") {
       e.kind = EvKind::kHeal;
-    } else if (words[0] == "put") {
-      if (words.size() != 5 || IndexOfAddr(words[1]) < 0) {
-        return fail("put <n-addr> <key> <value> <reqid>");
-      }
+    } else if (cmd.name == "put") {
       e.kind = EvKind::kPut;
-      e.a = IndexOfAddr(words[1]);
-      e.key = words[2];
-      e.value = words[3];
-      e.req = std::strtoull(words[4].c_str(), nullptr, 10);
-    } else if (words[0] == "get") {
-      if (words.size() != 4 || IndexOfAddr(words[1]) < 0) {
-        return fail("get <n-addr> <key> <reqid>");
-      }
+      e.a = IndexOfAddr(cmd.args[0].text, n);
+      e.key = cmd.args[1].text;
+      e.value = cmd.args[2].text;
+      e.req = cmd.args[3].u64;
+    } else if (cmd.name == "get") {
       e.kind = EvKind::kGet;
-      e.a = IndexOfAddr(words[1]);
-      e.key = words[2];
-      e.req = std::strtoull(words[3].c_str(), nullptr, 10);
+      e.a = IndexOfAddr(cmd.args[0].text, n);
+      e.key = cmd.args[1].text;
+      e.req = cmd.args[2].u64;
     } else {
-      return fail("unknown event directive: " + words[0]);
+      return fail("unknown event directive: " + cmd.name);
+    }
+    if (e.a < 0 || e.b < 0) {
+      return fail(cmd.name + " names a node outside n0..n" + std::to_string(n - 1));
     }
     s.events.push_back(std::move(e));
   }
@@ -530,6 +454,9 @@ bool ScenarioToSchedule(const std::string& text, Schedule* out, std::string* err
     return false;
   }
   *out = std::move(s);
+  if (ablation_out != nullptr) {
+    *ablation_out = ablation;
+  }
   return true;
 }
 

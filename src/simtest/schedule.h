@@ -118,9 +118,12 @@ bool ScheduleHasFaults(const Schedule& schedule);
 std::string ScheduleToScenario(const Schedule& schedule, const Ablation& ablation = {});
 
 // Parses a simfuzz-emitted scenario back into a Schedule (the inverse of
-// ScheduleToScenario: parse-then-render is byte-identical). Returns false with
+// ScheduleToScenario: parse-then-render is byte-identical), reading every line
+// through the scenario grammar (ParseScenarioLine). The ablation the file's
+// `# ablation` header names goes to *ablation when given. Returns false with
 // `error` set for files this tool did not emit.
-bool ScenarioToSchedule(const std::string& text, Schedule* out, std::string* error);
+bool ScenarioToSchedule(const std::string& text, Schedule* out, std::string* error,
+                        Ablation* ablation = nullptr);
 
 // "n<i>" — fleet addressing shared by generator and oracles.
 std::string AddrOf(int i);

@@ -13,6 +13,7 @@
 //                                         retention stores
 //           [--print-scenario]            print each schedule's scenario text
 //           [--replay FILE]               re-run a scenario file under the oracles
+//                                         (a simfuzz file's header sets its ablation)
 //           [--differential]              diff table digests across config ablations
 //           [--limits]                    run every node under the canonical overload
 //                                         limits (arms the overload oracle)
@@ -196,7 +197,9 @@ int main(int argc, char** argv) {
     Schedule schedule;
     std::string error;
     RunResult result;
-    if (ScenarioToSchedule(text, &schedule, &error)) {
+    // A canonical file replays under the ablation its own header names, whatever
+    // the command line says.
+    if (ScenarioToSchedule(text, &schedule, &error, &opts.ablation)) {
       printf("replaying canonical simfuzz scenario (seed %llu, %zu events)\n",
              static_cast<unsigned long long>(schedule.seed), schedule.events.size());
       result = RunSchedule(schedule, opts);

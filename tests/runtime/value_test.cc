@@ -47,6 +47,19 @@ TEST(ValueTest, IdArithmeticIsModular) {
   EXPECT_EQ(Value::Sub(Value::Id(0), Value::Int(1)).AsId(), ~0ULL);
 }
 
+// Int arithmetic wraps modulo 2^64 like the Id paths (signed overflow would be
+// undefined behaviour), and INT64_MIN % -1 is 0 rather than a SIGFPE.
+TEST(ValueTest, IntArithmeticWraps) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Value::Add(Value::Int(kMax), Value::Int(1)).AsInt(), kMin);
+  EXPECT_EQ(Value::Sub(Value::Int(kMin), Value::Int(1)).AsInt(), kMax);
+  EXPECT_EQ(Value::Mul(Value::Int(kMin), Value::Int(-1)).AsInt(), kMin);
+  EXPECT_EQ(Value::Neg(Value::Int(kMin)).AsInt(), kMin);
+  EXPECT_EQ(Value::Mod(Value::Int(kMin), Value::Int(-1)).AsInt(), 0);
+  EXPECT_EQ(Value::Mod(Value::Int(-7), Value::Int(-1)).AsInt(), 0);
+}
+
 TEST(ValueTest, StringConcatenation) {
   EXPECT_EQ(Value::Add(Value::Str("a"), Value::Int(3)).AsString(), "a3");
   EXPECT_EQ(Value::Add(Value::Int(3), Value::Str("a")).AsString(), "3a");

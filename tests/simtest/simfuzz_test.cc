@@ -89,6 +89,22 @@ TEST(SimFuzzTest, LimitsAblationRoundTripsInScenarioForm) {
   EXPECT_EQ(off.find("limits"), std::string::npos);
 }
 
+// simfuzz --replay runs a canonical file under the ablation its own header
+// names: the replayed script is the file, byte for byte.
+TEST(SimFuzzTest, ReplayRunsTheFilesOwnAblation) {
+  Ablation ablation;
+  ablation.overload_limits = true;
+  ablation.use_join_indexes = false;
+  std::string text = ScheduleToScenario(GenerateSchedule(4, SmallFaulty()), ablation);
+  Schedule parsed;
+  SimFuzzOptions opts;
+  std::string error;
+  ASSERT_TRUE(ScenarioToSchedule(text, &parsed, &error, &opts.ablation)) << error;
+  RunResult replay = RunSchedule(parsed, opts);
+  EXPECT_EQ(replay.scenario, text);
+  EXPECT_FALSE(replay.failed()) << replay.Summary();
+}
+
 TEST(SimFuzzTest, NonCanonicalScenarioIsRejectedByParser) {
   Schedule schedule = GenerateSchedule(1, FuzzProfile::Quiet());
   std::string text = ScheduleToScenario(schedule) + "stats\n";

@@ -52,13 +52,17 @@ TEST_F(ScenarioTest, TupleLiteralValueKinds) {
 node a
 inline a materialize(t, infinity, 10, keys(1,2)).
 inject a t(a, 5, 2.5, "hello world", id:18446744073709551615, true, bare)
+inline a materialize(u, infinity, 10, keys(1)).
+inject a u(a, "x#y")  # a '#' inside a string is not a comment
 run 0.5
 expect a t 1
 dump a t
+dump a u
 )";
   ASSERT_TRUE(Run(script)) << error_;
   EXPECT_NE(output_.find("t(a, 5, 2.5, hello world, 18446744073709551615, true, bare)"),
             std::string::npos);
+  EXPECT_NE(output_.find("u(a, x#y)"), std::string::npos) << output_;
 }
 
 TEST_F(ScenarioTest, TimedInjection) {
@@ -208,6 +212,26 @@ TEST_F(ScenarioTest, ErrorsAreReportedWithLineNumbers) {
   fails("node a\nlinkfault a b frob=1\n", "unknown linkfault option");
   fails("node a\npartition a\n", "partition");
   fails("node a\ncrash a when=2\n", "at=");
+  // A wrong argument count fails with the directive's usage.
+  fails("node a\nstats\n", "stats <addr|all>");
+  fails("node a\nwatchprint\n", "watchprint <addr|all>");
+  fails("node a\ndump a\n", "dump <addr|all> <table>");
+  fails("node a\nexpect a t\n", "expect <addr> <table> <count>");
+}
+
+// The OverLog source of `inline` is the text after the node selector, even when
+// the selector also occurs inside the word `inline`.
+TEST_F(ScenarioTest, InlineSourceStartsAfterTheSelector) {
+  const char* script = R"(
+node e
+inline e materialize(t, infinity, 10, keys(1,2)).
+inline e r1 t@N(X) :- go@N(X).
+inject e go(e, 7)
+run 0.5
+expect e t 1
+)";
+  ASSERT_TRUE(Run(script)) << error_;
+  EXPECT_EQ(runner_.expectations_passed(), 1);
 }
 
 TEST_F(ScenarioTest, ShardedNetRunsAndRejectsBadShardCounts) {
@@ -256,6 +280,7 @@ TEST_F(ScenarioTest, MalformedValuesAreLineNumberedErrors) {
   fails("node a\ncrash a at=1O\n", "line 2: bad number for at");
   fails("node a\ninject t=soon a t(a, 1)\n", "bad number for t");
   fails("node a\nput a k v abc\n", "bad unsigned integer for reqid");
+  fails("node a\ninject a t(a, id:abc)\n", "line 2: bad unsigned integer for id");
 }
 
 TEST_F(ScenarioTest, PastTimesAreRejected) {
@@ -445,6 +470,10 @@ run 0.05
   EXPECT_NE(error.find("landmark"), std::string::npos) << error;
   EXPECT_FALSE(runner.RunLine("monitors all", &error));
   EXPECT_NE(error.find("initiator"), std::string::npos) << error;
+  // Options are validated even when the directive addresses a remote node, so
+  // every process rejects the same lines.
+  EXPECT_FALSE(runner.RunLine("monitors n0 frob=1", &error));
+  EXPECT_NE(error.find("unknown monitors option: frob"), std::string::npos) << error;
 }
 
 // Regression guard: every shipped scenario file must keep running clean (their
