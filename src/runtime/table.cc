@@ -5,32 +5,11 @@
 
 namespace p2 {
 
-Table::Table(TableSpec spec) : spec_(std::move(spec)) {}
-
-bool Table::Key::operator==(const Key& other) const {
-  if (hash != other.hash || vals.size() != other.vals.size()) {
-    return false;
+Table::Table(TableSpec spec)
+    : spec_(std::move(spec)), exp_head_(rows_.end()), exp_tail_(rows_.end()) {
+  for (size_t pos : spec_.key_fields) {
+    key_arity_ = std::max(key_arity_, pos + 1);
   }
-  for (size_t i = 0; i < vals.size(); ++i) {
-    if (!(vals[i] == other.vals[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Table::Key Table::MakeKey(const Tuple& t) const {
-  Key key;
-  if (spec_.key_fields.empty()) {
-    key.vals = t.fields();
-  } else {
-    key.vals.reserve(spec_.key_fields.size());
-    for (size_t pos : spec_.key_fields) {
-      key.vals.push_back(pos < t.arity() ? t.field(pos) : Value::Null());
-    }
-  }
-  key.hash = HashValues(key.vals);
-  return key;
 }
 
 size_t Table::HashValues(const ValueList& vals) {
@@ -41,12 +20,69 @@ size_t Table::HashValues(const ValueList& vals) {
   return h;
 }
 
-size_t Table::HashAt(const Tuple& t, const std::vector<size_t>& positions) const {
+size_t Table::HashAt(const ValueList& vals, const std::vector<size_t>& positions) {
   size_t h = 1469598103934665603ULL;
   for (size_t pos : positions) {
-    h = h * 1099511628211ULL ^ (pos < t.arity() ? t.field(pos) : Value::Null()).Hash();
+    h = h * 1099511628211ULL ^ (pos < vals.size() ? vals[pos] : Value::Null()).Hash();
   }
   return h;
+}
+
+size_t Table::KeySize(const Tuple& t) const {
+  return spec_.key_fields.empty() ? t.arity() : spec_.key_fields.size();
+}
+
+const Value& Table::KeyField(const Tuple& t, size_t i) const {
+  static const Value kNull = Value::Null();
+  if (spec_.key_fields.empty()) {
+    return t.field(i);
+  }
+  size_t pos = spec_.key_fields[i];
+  return pos < t.arity() ? t.field(pos) : kNull;
+}
+
+size_t Table::KeyHash(const Tuple& t) const {
+  return spec_.key_fields.empty() ? HashValues(t.fields())
+                                  : HashAt(t.fields(), spec_.key_fields);
+}
+
+bool Table::SameKey(const Tuple& a, const Tuple& b) const {
+  size_t n = KeySize(a);
+  if (n != KeySize(b)) {
+    return false;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!(KeyField(a, i) == KeyField(b, i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool Table::HasKey(const Tuple& t, const ValueList& key_values) const {
+  size_t n = KeySize(t);
+  if (n != key_values.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!(KeyField(t, i) == key_values[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Pred>
+Table::RowIt Table::FindRow(size_t hash, Pred pred) {
+  // Walks the hash's bucket instead of equal_range(hash), which reads on past the
+  // last entry under the hash; here the walk stops at the (usually first) hit.
+  size_t bucket = index_.bucket(hash);
+  for (auto entry = index_.begin(bucket); entry != index_.end(bucket); ++entry) {
+    if (entry->first == hash && pred(*entry->second)) {
+      return entry->second;
+    }
+  }
+  return rows_.end();
 }
 
 size_t Table::EnsureIndex(std::vector<size_t> positions) {
@@ -58,23 +94,23 @@ size_t Table::EnsureIndex(std::vector<size_t> positions) {
   auto index = std::make_unique<SecondaryIndex>();
   index->positions = std::move(positions);
   for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-    index->map[HashAt(*it->tuple, index->positions)].emplace(it->seq, it);
+    index->map[HashAt(it->tuple->fields(), index->positions)].emplace(it->seq, it);
     ++index->entries;
   }
   secondary_.push_back(std::move(index));
   return secondary_.size() - 1;
 }
 
-void Table::SecondaryAdd(std::list<Row>::iterator it) {
+void Table::SecondaryAdd(RowIt it) {
   for (auto& index : secondary_) {
-    index->map[HashAt(*it->tuple, index->positions)].emplace(it->seq, it);
+    index->map[HashAt(it->tuple->fields(), index->positions)].emplace(it->seq, it);
     ++index->entries;
   }
 }
 
-void Table::SecondaryRemove(std::list<Row>::iterator it) {
+void Table::SecondaryRemove(RowIt it) {
   for (auto& index : secondary_) {
-    auto bucket = index->map.find(HashAt(*it->tuple, index->positions));
+    auto bucket = index->map.find(HashAt(it->tuple->fields(), index->positions));
     if (bucket == index->map.end()) {
       continue;
     }
@@ -102,36 +138,104 @@ void Table::Notify(TableChange change, const TupleRef& t) {
   }
 }
 
+void Table::ExpiryLink(RowIt it) {
+  // Walk back from the tail: a row (re)linked at the current time expires no earlier
+  // than the rows linked before it, so this is O(1) while time is monotone.
+  RowIt prev = exp_tail_;
+  while (prev != rows_.end() &&
+         (it->expires_at < prev->expires_at ||
+          (it->expires_at == prev->expires_at && it->seq < prev->seq))) {
+    prev = prev->exp_prev;
+  }
+  RowIt next = prev == rows_.end() ? exp_head_ : prev->exp_next;
+  it->exp_prev = prev;
+  it->exp_next = next;
+  (prev == rows_.end() ? exp_head_ : prev->exp_next) = it;
+  (next == rows_.end() ? exp_tail_ : next->exp_prev) = it;
+}
+
+void Table::ExpiryUnlink(RowIt it) {
+  (it->exp_prev == rows_.end() ? exp_head_ : it->exp_prev->exp_next) = it->exp_next;
+  (it->exp_next == rows_.end() ? exp_tail_ : it->exp_next->exp_prev) = it->exp_prev;
+}
+
+void Table::SetExpiry(RowIt it, double expires) {
+  if (expires == it->expires_at) {
+    return;  // same list position (e.g. infinite lifetime)
+  }
+  ExpiryUnlink(it);
+  it->expires_at = expires;
+  ExpiryLink(it);
+}
+
 InsertOutcome Table::Insert(const TupleRef& t, double now) {
   ExpireStale(now);
-  Key key = MakeKey(*t);
   double expires = std::isinf(spec_.lifetime_secs)
                        ? std::numeric_limits<double>::infinity()
                        : now + spec_.lifetime_secs;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    Row& row = *it->second;
-    if (*row.tuple == *t) {
-      row.expires_at = expires;  // identical: refresh lifetime only, no delta
+  size_t hash = KeyHash(*t);
+  RowIt it = FindRow(hash, [&](const Row& row) { return SameKey(*row.tuple, *t); });
+  if (it != rows_.end()) {
+    if (*it->tuple == *t) {
+      SetExpiry(it, expires);  // identical: refresh lifetime only, no delta
       ++counters_.refreshes;
       return InsertOutcome::kRefreshed;
     }
-    SecondaryRemove(it->second);  // indexed field values may change with the payload
-    row.tuple = t;
-    row.expires_at = expires;
-    SecondaryAdd(it->second);
+    SecondaryRemove(it);  // indexed field values may change with the payload
+    short_rows_ -= ShortOfKey(*it->tuple);
+    short_rows_ += ShortOfKey(*t);
+    it->tuple = t;
+    SetExpiry(it, expires);
+    SecondaryAdd(it);
     ++counters_.inserts;
     Notify(TableChange::kInsert, t);
     return InsertOutcome::kReplaced;
   }
-  rows_.push_back(Row{t, expires, next_seq_++});
-  index_.emplace(std::move(key), std::prev(rows_.end()));
-  SecondaryAdd(std::prev(rows_.end()));
-  min_expiry_ = std::min(min_expiry_, expires);
+  rows_.push_back(Row{t, expires, next_seq_++, rows_.end(), rows_.end()});
+  it = std::prev(rows_.end());
+  ExpiryLink(it);
+  index_.emplace(hash, it);
+  short_rows_ += ShortOfKey(*t);
+  SecondaryAdd(it);
   EvictOverflow();
   ++counters_.inserts;
   Notify(TableChange::kInsert, t);
   return InsertOutcome::kNew;
+}
+
+void Table::Remove(RowIt it, TableChange change) {
+  ExpiryUnlink(it);
+  auto entry = index_.equal_range(KeyHash(*it->tuple)).first;
+  while (entry->second != it) {
+    ++entry;
+  }
+  index_.erase(entry);
+  short_rows_ -= ShortOfKey(*it->tuple);
+  SecondaryRemove(it);
+  TupleRef victim = it->tuple;
+  if (iter_depth_ > 0) {
+    // A walk is in flight (only deletes get here: e.g. tracer GC firing mid-join):
+    // erasing would invalidate it. The row is unlinked from everything; hide it from
+    // every access and leave the corpse for EndIterMaintenance.
+    it->expires_at = -std::numeric_limits<double>::infinity();
+    dead_rows_.push_back(it);
+  } else {
+    rows_.erase(it);
+  }
+  switch (change) {
+    case TableChange::kDelete:
+      ++counters_.deletes;
+      break;
+    case TableChange::kExpire:
+      ++counters_.expires;
+      break;
+    case TableChange::kEvict:
+      ++counters_.evictions;
+      break;
+    case TableChange::kInsert:
+      break;
+  }
+  Notify(change, victim);
 }
 
 void Table::EvictOverflow() {
@@ -145,80 +249,74 @@ void Table::EvictOverflow() {
     // table would do anyway. Refreshes push a row's expiry out, so soft state that
     // is still being maintained (e.g. a Chord node's own best successor) survives
     // while once-gossiped entries go first. Ties (notably infinite-lifetime tables)
-    // fall back to insertion order, since rows_ is insertion-ordered.
-    auto victim_it = rows_.begin();
-    for (auto it = std::next(rows_.begin()); it != rows_.end(); ++it) {
-      if (it->expires_at < victim_it->expires_at) {
-        victim_it = it;
-      }
-    }
-    Row victim = *victim_it;
-    index_.erase(MakeKey(*victim.tuple));
-    SecondaryRemove(victim_it);
-    rows_.erase(victim_it);
-    ++counters_.evictions;
-    Notify(TableChange::kEvict, victim.tuple);
+    // fall back to insertion order. Both are the expiry list's order.
+    Remove(exp_head_, TableChange::kEvict);
   }
+}
+
+bool Table::BindsKey(const ValueList& pattern, const std::vector<bool>& bound) const {
+  // A row shorter than some key field matches on its remaining fields alone, so the
+  // probe (which compares whole keys) is exact only while no such row exists.
+  if (spec_.key_fields.empty() || short_rows_ > 0) {
+    return false;
+  }
+  for (size_t pos : spec_.key_fields) {
+    if (pos >= pattern.size() || pos >= bound.size() || !bound[pos]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 size_t Table::DeleteMatching(const ValueList& pattern,
                              const std::vector<bool>& bound, double now) {
   ExpireStale(now);
-  size_t deleted = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->expires_at <= now) {
-      ++it;  // expired or already deleted; purge was deferred by an in-flight walk
-      continue;
+  auto matches = [&](const Row& row) {
+    if (row.expires_at <= now) {
+      return false;  // expired or already deleted; purge was deferred by a walk
     }
-    const Tuple& t = *it->tuple;
-    bool match = true;
+    const Tuple& t = *row.tuple;
     for (size_t i = 0; i < pattern.size() && i < t.arity(); ++i) {
       if (i < bound.size() && bound[i] && !(pattern[i] == t.field(i))) {
-        match = false;
-        break;
+        return false;
       }
     }
-    if (match) {
-      TupleRef victim = it->tuple;
-      index_.erase(MakeKey(t));
-      SecondaryRemove(it);
-      if (iter_depth_ > 0) {
-        // A walk is in flight (e.g. tracer GC firing mid-join): erasing would
-        // invalidate it. Unlink from the indexes now, hide the row from every
-        // access, and leave the corpse for EndIterMaintenance.
-        it->dead = true;
-        it->expires_at = -std::numeric_limits<double>::infinity();
-        has_dead_ = true;
-        ++it;
-      } else {
-        it = rows_.erase(it);
-      }
+    return true;
+  };
+  if (BindsKey(pattern, bound)) {
+    // Every match carries the pattern's key, and keys are unique: at most one row.
+    RowIt it = FindRow(HashAt(pattern, spec_.key_fields), matches);
+    if (it == rows_.end()) {
+      return 0;
+    }
+    Remove(it, TableChange::kDelete);
+    return 1;
+  }
+  size_t deleted = 0;
+  for (auto it = rows_.begin(); it != rows_.end();) {
+    RowIt row = it++;
+    if (matches(*row)) {
+      Remove(row, TableChange::kDelete);
       ++deleted;
-      ++counters_.deletes;
-      Notify(TableChange::kDelete, victim);
-    } else {
-      ++it;
     }
   }
   return deleted;
 }
 
 void Table::EndIterMaintenance() {
-  if (has_dead_) {
-    has_dead_ = false;
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      // Counters and listeners already fired at mark time; just drop the corpse.
-      it = it->dead ? rows_.erase(it) : std::next(it);
-    }
+  // Counters and listeners already fired at mark time; just drop the corpses.
+  for (RowIt it : dead_rows_) {
+    rows_.erase(it);
   }
+  dead_rows_.clear();
   if (rows_.size() > spec_.max_size) {
     EvictOverflow();  // inserts mid-walk skipped the size bound
   }
 }
 
 size_t Table::ExpireStale(double now) {
-  if (now < min_expiry_) {
-    return 0;  // nothing can have expired yet
+  if (exp_head_ == rows_.end() || exp_head_->expires_at > now) {
+    return 0;  // nothing due
   }
   if (iter_depth_ > 0) {
     // Rows are being walked (possibly by this very caller, re-entering through a
@@ -226,36 +324,28 @@ size_t Table::ExpireStale(double now) {
     // stale rows per row; the purge happens on the next non-nested access.
     return 0;
   }
-  size_t expired = 0;
-  double next_min = std::numeric_limits<double>::infinity();
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->expires_at <= now) {
-      TupleRef victim = it->tuple;
-      index_.erase(MakeKey(*victim));
-      SecondaryRemove(it);
-      it = rows_.erase(it);
-      ++expired;
-      ++counters_.expires;
-      Notify(TableChange::kExpire, victim);
-    } else {
-      next_min = std::min(next_min, it->expires_at);
-      ++it;
-    }
+  // The due rows are a prefix of the expiry list; purge them in insertion order.
+  due_.clear();
+  for (RowIt it = exp_head_; it != rows_.end() && it->expires_at <= now;
+       it = it->exp_next) {
+    due_.push_back(it);
   }
-  min_expiry_ = next_min;
-  return expired;
+  std::sort(due_.begin(), due_.end(),
+            [](RowIt a, RowIt b) { return a->seq < b->seq; });
+  for (RowIt it : due_) {
+    Remove(it, TableChange::kExpire);
+  }
+  return due_.size();
 }
 
 TupleRef Table::FindByKey(const ValueList& key_values, double now) {
   ExpireStale(now);
-  Key key;
-  key.vals = key_values;
-  key.hash = HashValues(key.vals);
-  auto it = index_.find(key);
-  if (it == index_.end() || it->second->expires_at <= now) {
+  RowIt it = FindRow(HashValues(key_values),
+                     [&](const Row& row) { return HasKey(*row.tuple, key_values); });
+  if (it == rows_.end() || it->expires_at <= now) {
     return nullptr;  // stale rows survive the (possibly deferred) purge; never match
   }
-  return it->second->tuple;
+  return it->tuple;
 }
 
 std::vector<TupleRef> Table::Scan(double now) {
@@ -273,15 +363,13 @@ std::vector<TupleRef> Table::Scan(double now) {
 
 size_t Table::Size(double now) {
   ExpireStale(now);
-  if (iter_depth_ > 0 && (has_dead_ || now >= min_expiry_)) {
-    // The purge was deferred by an in-flight iteration: count live rows explicitly.
-    size_t live = 0;
-    for (const Row& row : rows_) {
-      live += row.expires_at > now ? 1 : 0;
-    }
-    return live;
+  // Mid-walk, deleted rows and due rows still await their purge: leave them out.
+  size_t pending = dead_rows_.size();
+  for (RowIt it = exp_head_; it != rows_.end() && it->expires_at <= now;
+       it = it->exp_next) {
+    ++pending;
   }
-  return rows_.size();
+  return rows_.size() - pending;
 }
 
 size_t Table::ByteSize() const {

@@ -4,7 +4,13 @@
 // (a subset of field positions). Inserting a tuple whose key already exists replaces the
 // old row; inserting an identical tuple merely refreshes its lifetime (and does NOT count
 // as a delta — this is what keeps recursive rule sets like the path-vector example from
-// deriving forever). When the table exceeds its maximum size, the oldest row is evicted.
+// deriving forever). When the table exceeds its maximum size, the row nearest expiry is
+// evicted (ties: the earliest inserted).
+//
+// Maintenance costs O(rows touched), not O(rows in table): rows are threaded on an
+// expiry-ordered list, so expiry and eviction pop its head; the primary index maps a
+// key hash to its row (no key copy is stored) and also serves deletes whose pattern
+// binds the whole key.
 //
 // Listeners observe changes; the planner uses them to drive table-delta rule strands and
 // continuous aggregate re-evaluation, and the tracer uses them for ruleExec GC.
@@ -36,7 +42,8 @@ struct TableSpec {
   std::string name;
   // Seconds a tuple stays alive after its last insert/refresh; infinity allowed.
   double lifetime_secs = std::numeric_limits<double>::infinity();
-  // Maximum number of rows; the oldest row is evicted beyond this. SIZE_MAX = unbounded.
+  // Maximum number of rows; the row nearest expiry is evicted beyond this.
+  // SIZE_MAX = unbounded.
   size_t max_size = std::numeric_limits<size_t>::max();
   // 0-based field positions forming the primary key. Empty means the whole tuple.
   std::vector<size_t> key_fields;
@@ -75,6 +82,9 @@ class Table {
   using Listener = std::function<void(TableChange, const TupleRef&)>;
 
   explicit Table(TableSpec spec);
+  // Rows link to each other through rows_.end(), which moves with the list object.
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
 
   const TableSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
@@ -82,13 +92,15 @@ class Table {
   // Inserts `t` at time `now`. Expired rows are purged first.
   InsertOutcome Insert(const TupleRef& t, double now);
 
-  // Deletes all rows matching `pattern`: a row matches when every non-null pattern
+  // Deletes all rows matching `pattern`: a row matches when every bound pattern
   // position equals the corresponding field. Returns the number of rows deleted.
-  // Positions beyond the row's arity are ignored.
+  // Positions beyond the row's arity are ignored. A pattern that binds every declared
+  // key field is answered by one primary-index probe; any other pattern scans.
   size_t DeleteMatching(const ValueList& pattern,
                         const std::vector<bool>& bound, double now);
 
-  // Purges rows whose lifetime has passed; fires kExpire for each. Returns count.
+  // Purges rows whose lifetime has passed; fires kExpire for each, in insertion order.
+  // Returns count. O(1) when nothing is due.
   size_t ExpireStale(double now);
 
   // Returns the current rows (after purging expired ones), in insertion order.
@@ -157,8 +169,8 @@ class Table {
       // this table, rehashing the index maps under a live bucket iterator. Row
       // erasure is deferred while the IterGuard is held, so the copied row
       // iterators stay valid throughout. Sorting by seq restores insertion order.
-      std::vector<std::pair<uint64_t, std::list<Row>::iterator>> matches(
-          bucket->second.begin(), bucket->second.end());
+      std::vector<std::pair<uint64_t, RowIt>> matches(bucket->second.begin(),
+                                                      bucket->second.end());
       std::sort(matches.begin(), matches.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
       for (const auto& [seq, it] : matches) {
@@ -202,23 +214,21 @@ class Table {
   const TableCounters& counters() const { return counters_; }
 
  private:
+  struct Row;
+  using RowIt = std::list<Row>::iterator;
   struct Row {
     TupleRef tuple;
-    double expires_at;
+    double expires_at;  // -infinity once deleted mid-walk (purge pending)
     uint64_t seq;       // monotonically increasing insert order
-    bool dead = false;  // deleted mid-iteration; unlinked from indexes, purge pending
+    // Neighbours on the expiry list, ordered by (expires_at, seq); rows_.end() marks
+    // either end. A row deleted mid-walk is unlinked and waits in dead_rows_.
+    RowIt exp_prev;
+    RowIt exp_next;
   };
 
-  struct Key {
-    ValueList vals;
-    size_t hash;
-    bool operator==(const Key& other) const;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const { return k.hash; }
-  };
+  // noexcept, so hash tables keyed by it do not store the hash a second time.
   struct IdentityHash {
-    size_t operator()(size_t h) const { return h; }
+    size_t operator()(size_t h) const noexcept { return h; }
   };
 
   // One secondary index: hash of the indexed fields -> (row seq -> row). The inner
@@ -226,9 +236,7 @@ class Table {
   // low-selectivity index would otherwise turn bulk expiry quadratic).
   struct SecondaryIndex {
     std::vector<size_t> positions;
-    std::unordered_map<size_t, std::unordered_map<uint64_t, std::list<Row>::iterator>,
-                       IdentityHash>
-        map;
+    std::unordered_map<size_t, std::unordered_map<uint64_t, RowIt>, IdentityHash> map;
     uint64_t probes = 0;
     uint64_t rows_yielded = 0;
     size_t entries = 0;
@@ -247,30 +255,56 @@ class Table {
   };
   friend struct IterGuard;
 
-  Key MakeKey(const Tuple& t) const;
   // FNV-1a over Value::Hash — shared by the primary key and every secondary index,
-  // so cross-kind numeric equality (Int(7) == Id(7)) probes consistently.
+  // so cross-kind numeric equality (Int(7) == Id(7)) probes consistently. Positions
+  // beyond `vals` hash as Null.
   static size_t HashValues(const ValueList& vals);
-  size_t HashAt(const Tuple& t, const std::vector<size_t>& positions) const;
-  void SecondaryAdd(std::list<Row>::iterator it);
-  void SecondaryRemove(std::list<Row>::iterator it);
+  static size_t HashAt(const ValueList& vals, const std::vector<size_t>& positions);
+
+  // Primary key of a tuple: the declared key fields (Null beyond its arity), or every
+  // field when none are declared.
+  size_t KeySize(const Tuple& t) const;
+  const Value& KeyField(const Tuple& t, size_t i) const;
+  size_t KeyHash(const Tuple& t) const;
+  bool SameKey(const Tuple& a, const Tuple& b) const;
+  bool HasKey(const Tuple& t, const ValueList& key_values) const;
+  // True when `t` lacks some declared key field (its key holds a Null there).
+  bool ShortOfKey(const Tuple& t) const { return t.arity() < key_arity_; }
+  // The first row under `hash` in the primary index satisfying `pred(row)`, else
+  // rows_.end().
+  template <typename Pred>
+  RowIt FindRow(size_t hash, Pred pred);
+  // True when a DeleteMatching pattern can be answered by a primary-index probe.
+  bool BindsKey(const ValueList& pattern, const std::vector<bool>& bound) const;
+
+  void ExpiryLink(RowIt it);
+  void ExpiryUnlink(RowIt it);
+  void SetExpiry(RowIt it, double expires);
+  void SecondaryAdd(RowIt it);
+  void SecondaryRemove(RowIt it);
+  // Unlinks `it` from every index and the expiry list, erases it (or, mid-walk,
+  // leaves it dead in dead_rows_), counts `change` and notifies.
+  void Remove(RowIt it, TableChange change);
   void Notify(TableChange change, const TupleRef& t);
   void EvictOverflow();
   void EndIterMaintenance();
 
   TableSpec spec_;
+  size_t key_arity_ = 0;  // 1 + the largest declared key field; 0 for whole-tuple keys
   TableCounters counters_;
   std::list<Row> rows_;  // insertion order
-  std::unordered_map<Key, std::list<Row>::iterator, KeyHash> index_;
+  RowIt exp_head_;       // soonest to expire; rows_.end() when empty
+  RowIt exp_tail_;
+  // Primary index: key hash -> row. Entries hold no key copy; probes compare against
+  // the row's own fields.
+  std::unordered_multimap<size_t, RowIt, IdentityHash> index_;
+  size_t short_rows_ = 0;  // indexed rows for which ShortOfKey holds
   std::vector<std::unique_ptr<SecondaryIndex>> secondary_;
   std::vector<Listener> listeners_;
   uint64_t next_seq_ = 0;
-  int iter_depth_ = 0;     // >0 while ForEachLive/ForEachMatch walk rows
-  bool has_dead_ = false;  // dead corpses awaiting EndIterMaintenance
-  // Earliest possible expiry across live rows (a lower bound: refreshes may raise a
-  // row's true expiry without updating this). Lets ExpireStale — called on every
-  // insert/scan — return in O(1) when nothing can have expired yet.
-  double min_expiry_ = std::numeric_limits<double>::infinity();
+  int iter_depth_ = 0;            // >0 while ForEachLive/ForEachMatch walk rows
+  std::vector<RowIt> dead_rows_;  // deleted mid-walk, erased by EndIterMaintenance
+  std::vector<RowIt> due_;        // ExpireStale's batch, kept to reuse its capacity
 };
 
 }  // namespace p2

@@ -1,6 +1,7 @@
 #include "src/tools/scenario.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -79,7 +80,12 @@ bool ParseU64(const std::string& text, const std::string& what, uint64_t* out,
     *error = "bad unsigned integer for " + what + ": '" + text + "'";
     return false;
   }
+  errno = 0;
   *out = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) {
+    *error = "integer out of range for " + what + ": '" + text + "'";
+    return false;
+  }
   return true;
 }
 
@@ -189,7 +195,12 @@ bool ParseLiteralValue(const std::string& text, Value* out, std::string* error) 
   }
   if (IsNumber(text)) {
     if (text.find('.') == std::string::npos && text.find('e') == std::string::npos) {
+      errno = 0;
       *out = Value::Int(std::strtoll(text.c_str(), nullptr, 10));
+      if (errno == ERANGE) {
+        *error = "integer out of range: " + text;
+        return false;
+      }
     } else {
       *out = Value::Double(std::strtod(text.c_str(), nullptr));
     }
@@ -209,6 +220,10 @@ bool ParseTupleLiteral(const std::string& text, TupleRef* out, std::string* erro
   }
   std::string name = text.substr(0, open);
   std::string args = text.substr(open + 1, text.size() - open - 2);
+  if (args.find_first_not_of(" \t") == std::string::npos) {
+    *out = Tuple::Make(std::move(name), {});  // t(): no fields
+    return true;
+  }
   ValueList fields;
   std::string current;
   int depth = 0;
@@ -218,7 +233,8 @@ bool ParseTupleLiteral(const std::string& text, TupleRef* out, std::string* erro
     size_t b = current.find_first_not_of(" \t");
     size_t e = current.find_last_not_of(" \t");
     if (b == std::string::npos) {
-      return current.empty();
+      *error = "empty field in tuple: " + text;
+      return false;
     }
     Value v;
     if (!ParseLiteralValue(current.substr(b, e - b + 1), &v, error)) {

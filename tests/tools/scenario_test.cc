@@ -65,6 +65,10 @@ dump a u
   EXPECT_NE(output_.find("u(a, x#y)"), std::string::npos) << output_;
 }
 
+TEST_F(ScenarioTest, EmptyTupleLiteralHasNoFields) {
+  EXPECT_TRUE(Run("node a\ninject a t()\ninject a t( )\nrun 1\n")) << error_;
+}
+
 TEST_F(ScenarioTest, TimedInjection) {
   const char* script = R"(
 node a
@@ -281,6 +285,13 @@ TEST_F(ScenarioTest, MalformedValuesAreLineNumberedErrors) {
   fails("node a\ninject t=soon a t(a, 1)\n", "bad number for t");
   fails("node a\nput a k v abc\n", "bad unsigned integer for reqid");
   fails("node a\ninject a t(a, id:abc)\n", "line 2: bad unsigned integer for id");
+  // Integers beyond their type's range fail instead of clamping.
+  fails("net seed=99999999999999999999\n", "integer out of range for seed");
+  fails("node a\ninject a t(a, 99999999999999999999)\n", "line 2: integer out of range");
+  fails("node a\ninject a t(a, id:99999999999999999999)\n", "line 2: integer out of range");
+  // A blank tuple field is an error, not a dropped field.
+  fails("node a\ninject a t(a, )\n", "line 2: empty field");
+  fails("node a\ninject a t(a,,b)\n", "line 2: empty field");
 }
 
 TEST_F(ScenarioTest, PastTimesAreRejected) {
