@@ -2,41 +2,31 @@
 //
 // The paper's testbed metrics map onto the simulation as follows (DESIGN.md §2):
 //   CPU utilization  -> wall-clock nanoseconds the target node spends executing its
-//                       dataflow per simulated second (NodeStats::busy_ns), printed
-//                       both as ms/sim-s and normalized against the baseline;
+//                       dataflow per simulated second (NodeStats::busy_ns);
 //   process memory   -> bytes held by the target node's tables + tuple memo store;
 //   live tuples      -> rows across the target node's tables;
 //   Tx messages      -> network messages sent fleet-wide during the measurement
 //                       window (the paper's Figs 6-7 count transmissions).
-
-// Every bench binary additionally writes a machine-readable BENCH_<name>.json
-// artifact (one row per measurement window) so runs can be diffed and trended
-// across commits — see BenchArtifact below and docs/OBSERVABILITY.md.
+//
+// Every bench binary records its runs in a BENCH_<name>.json artifact
+// (bench/bench_artifact.h, docs/OBSERVABILITY.md).
 
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench/bench_artifact.h"
 #include "src/testbed/testbed.h"
 
 namespace p2 {
 
-struct WindowMetrics {
-  double cpu_ms_per_s = 0;   // target-node busy time per simulated second
-  double cpu_pct = 0;        // same, as a percentage of one core
-  double memory_mb = 0;      // target-node table + memo bytes at window end
-  double alloc_mb_per_s = 0; // fleet-wide intermediate-tuple churn during the window
-  double live_tuples = 0;    // target-node rows at window end
-  double tx_msgs = 0;        // fleet-wide messages sent during the window
-};
-
 // Builds the paper's 21-node deployment (stabilize 5 s, fingers 10 s, ping 5 s).
 // `forensics` layers the bounded retention store on top of tracing (which it
-// implies); it defaults off so pre-existing benchmark rows stay bit-identical.
+// implies).
 inline TestbedConfig PaperTestbed(int num_nodes = 21, bool tracing = false,
                                   bool forensics = false) {
   TestbedConfig cfg;
@@ -50,90 +40,94 @@ inline TestbedConfig PaperTestbed(int num_nodes = 21, bool tracing = false,
   return cfg;
 }
 
-// Runs `bed` for `secs` of simulated time and reports the target node's metrics over
-// that window.
-inline WindowMetrics MeasureWindow(ChordTestbed* bed, Node* target, double secs) {
+// Runs `bed` for `secs` of simulated time and records the target node's cost over
+// that window as the (series, x) row:
+//   cpu_ms_per_s    budget  target-node busy time per simulated second
+//   memory_mb       exact   target-node table + memo bytes at window end
+//   alloc_mb_per_s  exact   fleet-wide intermediate-tuple churn during the window
+//   live_tuples     exact   target-node rows at window end
+//   tx_msgs         exact   fleet-wide messages sent during the window
+inline BenchRow MeasureWindow(ChordTestbed* bed, Node* target, double secs,
+                              std::string series, std::string x) {
   uint64_t busy_before = target->stats().busy_ns;
   uint64_t msgs_before = bed->network().total_msgs();
   uint64_t alloc_before = Tuple::TotalBytesCreated();
   bed->Run(secs);
-  WindowMetrics m;
-  m.cpu_ms_per_s =
-      static_cast<double>(target->stats().busy_ns - busy_before) / 1e6 / secs;
-  m.cpu_pct = m.cpu_ms_per_s / 10.0;  // ms per 1000 ms -> percent
-  size_t bytes = target->catalog().TotalBytes();
-  m.memory_mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
-  m.alloc_mb_per_s = static_cast<double>(Tuple::TotalBytesCreated() - alloc_before) /
-                     (1024.0 * 1024.0) / secs;
-  m.live_tuples = static_cast<double>(target->catalog().TotalRows(bed->network().Now()));
-  m.tx_msgs = static_cast<double>(bed->network().total_msgs() - msgs_before);
-  return m;
+  const double mb = 1024.0 * 1024.0;
+  BenchRow row(std::move(series), std::move(x));
+  row.Budget("cpu_ms_per_s",
+             static_cast<double>(target->stats().busy_ns - busy_before) / 1e6 / secs,
+             "ms/s")
+      .Exact("memory_mb", static_cast<double>(target->catalog().TotalBytes()) / mb, "MB")
+      .Exact("alloc_mb_per_s",
+             static_cast<double>(Tuple::TotalBytesCreated() - alloc_before) / mb / secs,
+             "MB/s")
+      .Exact("live_tuples",
+             static_cast<double>(target->catalog().TotalRows(bed->network().Now())),
+             "rows")
+      .Exact("tx_msgs", static_cast<double>(bed->network().total_msgs() - msgs_before),
+             "msgs");
+  return row;
 }
 
-inline void PrintHeader(const char* title, const char* x_label) {
-  printf("\n%s\n", title);
-  printf("%-10s %12s %9s %11s %13s %12s %10s\n", x_label, "cpu(ms/s)", "cpu(%)",
-         "state(MB)", "churn(MB/s)", "live-tuples", "tx-msgs");
-}
+// Installs a figure point's monitor; `target` is the last-joined node.
+using FigureInstaller = std::function<bool(ChordTestbed* bed, Node* target, std::string*)>;
 
-inline void PrintRow(const std::string& x, const WindowMetrics& m) {
-  printf("%-10s %12.3f %9.3f %11.4f %13.4f %12.0f %10.0f\n", x.c_str(), m.cpu_ms_per_s,
-         m.cpu_pct, m.memory_mb, m.alloc_mb_per_s, m.live_tuples, m.tx_msgs);
-}
-
-// Machine-readable measurement record. Collect one row per (series, x) window and
-// call Write() at the end of main; the artifact lands in the working directory (or
-// $P2_BENCH_OUT_DIR) as BENCH_<name>.json:
-//
-//   {"bench":"fig4_periodic_rules","schema":"p2mon-bench-v1","rows":[
-//     {"series":"default","x":"50","x_value":50,"cpu_ms_per_s":...,...}, ...]}
-class BenchArtifact {
- public:
-  explicit BenchArtifact(std::string name) : name_(std::move(name)) {}
-
-  void Add(const std::string& series, const std::string& x, double x_value,
-           const WindowMetrics& m) {
-    rows_.push_back(Row{series, x, x_value, m});
-  }
-
-  // Writes BENCH_<name>.json; prints the path (or the failure) to stderr.
-  bool Write() const {
-    std::string path = "BENCH_" + name_ + ".json";
-    if (const char* dir = std::getenv("P2_BENCH_OUT_DIR")) {
-      path = std::string(dir) + "/" + path;
-    }
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      fprintf(stderr, "bench artifact: cannot open %s\n", path.c_str());
-      return false;
-    }
-    fprintf(f, "{\"bench\":\"%s\",\"schema\":\"p2mon-bench-v1\",\"rows\":[", name_.c_str());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
-      fprintf(f,
-              "%s\n  {\"series\":\"%s\",\"x\":\"%s\",\"x_value\":%g,"
-              "\"cpu_ms_per_s\":%g,\"cpu_pct\":%g,\"memory_mb\":%g,"
-              "\"alloc_mb_per_s\":%g,\"live_tuples\":%g,\"tx_msgs\":%g}",
-              i == 0 ? "" : ",", r.series.c_str(), r.x.c_str(), r.x_value,
-              r.m.cpu_ms_per_s, r.m.cpu_pct, r.m.memory_mb, r.m.alloc_mb_per_s,
-              r.m.live_tuples, r.m.tx_msgs);
-    }
-    fprintf(f, "\n]}\n");
-    std::fclose(f);
-    fprintf(stderr, "bench artifact: wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  struct Row {
-    std::string series;
-    std::string x;
-    double x_value;
-    WindowMetrics m;
-  };
-  std::string name_;
-  std::vector<Row> rows_;
+// One x point of a figure sweep; a null installer measures Chord alone.
+struct FigurePoint {
+  std::string x;
+  FigureInstaller install;
 };
+
+// The rule-count sweep of Figs 4 and 5: 0 to 250 copies of a monitoring rule,
+// `program(n)` loaded on the target node.
+inline std::vector<FigurePoint> RuleCountSweep(std::string (*program)(int)) {
+  std::vector<FigurePoint> points = {{"0", nullptr}};
+  for (int n : {50, 100, 150, 200, 250}) {
+    points.push_back({std::to_string(n), [text = program(n)](ChordTestbed*, Node* target,
+                                                              std::string* error) {
+                        return target->LoadProgram(text, error);
+                      }});
+  }
+  return points;
+}
+
+// The initiation-rate sweep of Figs 6 and 7: "None" (no monitor) and 1/32 to 1
+// per second; `at_period(p)` installs a monitor that initiates every p seconds.
+inline std::vector<FigurePoint> RateSweep(
+    const std::function<FigureInstaller(double period)>& at_period) {
+  std::vector<FigurePoint> points = {{"None", nullptr}};
+  for (auto [label, per_s] : {std::pair<const char*, double>{"1/32", 1.0 / 32},
+                              {"1/4", 0.25}, {"1/2", 0.5}, {"3/4", 0.75}, {"1", 1.0}}) {
+    points.push_back({label, at_period(1.0 / per_s)});
+  }
+  return points;
+}
+
+// Runs one of the paper's Figs 4-7: per point, a fresh 21-node testbed forms for
+// 40 s, the point's monitor goes onto the last-joined node, 5 s let its timers
+// arm, and a `window`-second MeasureWindow on that node becomes the point's row of
+// BENCH_<bench>.json. Returns the process exit status.
+inline int RunFigure(const std::string& bench, const std::string& series, double window,
+                     const std::vector<FigurePoint>& points) {
+  BenchArtifact artifact(bench);
+  artifact.Param("nodes", 21).Param("formation_s", 40).Param("arm_s", 5)
+      .Param("window_s", window);
+  for (const FigurePoint& p : points) {
+    ChordTestbed bed(PaperTestbed());
+    bed.Run(40);
+    Node* target = bed.last_node();
+    std::string error;
+    if (p.install && !p.install(&bed, target, &error)) {
+      fprintf(stderr, "%s: install at %s failed: %s\n", bench.c_str(), p.x.c_str(),
+              error.c_str());
+      return 1;
+    }
+    bed.Run(5);
+    artifact.Add(MeasureWindow(&bed, target, window, series, p.x));
+  }
+  return artifact.Write() ? 0 : 1;
+}
 
 }  // namespace p2
 

@@ -25,34 +25,12 @@ std::string PeriodicRules(int n) {
   return program;
 }
 
-void Main() {
-  printf("=== Figure 4: periodic monitoring rules (period 1 s) ===\n");
-  PrintHeader("21-node P2-Chord; rules installed on the last-joined node",
-              "#rules");
-  BenchArtifact artifact("fig4_periodic_rules");
-  for (int n : {0, 50, 100, 150, 200, 250}) {
-    ChordTestbed bed(PaperTestbed());
-    bed.Run(40);
-    Node* target = bed.last_node();
-    if (n > 0) {
-      std::string error;
-      if (!target->LoadProgram(PeriodicRules(n), &error)) {
-        fprintf(stderr, "install failed: %s\n", error.c_str());
-        return;
-      }
-    }
-    bed.Run(5);  // let the timers arm
-    WindowMetrics m = MeasureWindow(&bed, target, 120.0);
-    PrintRow(StrFormat("%d", n), m);
-    artifact.Add("periodic", StrFormat("%d", n), n, m);
-  }
-  artifact.Write();
-}
-
 }  // namespace
 }  // namespace p2
 
 int main() {
-  p2::Main();
-  return 0;
+  printf("=== Figure 4: periodic monitoring rules (period 1 s), installed on the "
+         "last-joined node of a 21-node P2-Chord ===\n");
+  return p2::RunFigure("fig4_periodic_rules", "periodic", 120.0,
+                       p2::RuleCountSweep(p2::PeriodicRules));
 }

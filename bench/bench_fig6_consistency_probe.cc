@@ -9,50 +9,19 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/common/strings.h"
 #include "src/mon/consistency.h"
 
-namespace p2 {
-namespace {
-
-void Main() {
-  printf("=== Figure 6: proactive consistency probes ===\n");
-  PrintHeader("21-node P2-Chord; probes initiated by the last-joined node",
-              "rate(1/s)");
-  struct Point {
-    const char* label;
-    double rate;  // probes per second; 0 = detector not installed
-  };
-  const Point points[] = {{"None", 0},     {"1/32", 1.0 / 32}, {"1/4", 0.25},
-                          {"1/2", 0.5},    {"3/4", 0.75},      {"1", 1.0}};
-  BenchArtifact artifact("fig6_consistency_probe");
-  for (const Point& p : points) {
-    ChordTestbed bed(PaperTestbed());
-    bed.Run(40);
-    Node* target = bed.last_node();
-    if (p.rate > 0) {
-      ConsistencyConfig cfg;
-      cfg.probe_period = 1.0 / p.rate;
-      cfg.tally_period = 20.0;  // paper cs9
-      cfg.tally_age = 20.0;
-      std::string error;
-      if (!InstallConsistencyProbes(target, cfg, &error)) {
-        fprintf(stderr, "install failed: %s\n", error.c_str());
-        return;
-      }
-    }
-    bed.Run(5);
-    WindowMetrics m = MeasureWindow(&bed, target, 64.0);
-    PrintRow(p.label, m);
-    artifact.Add("probe", p.label, p.rate, m);
-  }
-  artifact.Write();
-}
-
-}  // namespace
-}  // namespace p2
-
 int main() {
-  p2::Main();
-  return 0;
+  printf("=== Figure 6: proactive consistency probes initiated by the last-joined "
+         "node of a 21-node P2-Chord ===\n");
+  return p2::RunFigure(
+      "fig6_consistency_probe", "probe", 64.0, p2::RateSweep([](double period) {
+        return [period](p2::ChordTestbed*, p2::Node* target, std::string* error) {
+          p2::ConsistencyConfig cfg;
+          cfg.probe_period = period;
+          cfg.tally_period = 20.0;  // paper cs9
+          cfg.tally_age = 20.0;
+          return p2::InstallConsistencyProbes(target, cfg, error);
+        };
+      }));
 }

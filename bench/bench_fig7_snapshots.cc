@@ -12,48 +12,21 @@
 #include "bench/bench_common.h"
 #include "src/mon/snapshot.h"
 
-namespace p2 {
-namespace {
-
-void Main() {
-  printf("=== Figure 7: consistent snapshots ===\n");
-  PrintHeader("21-node P2-Chord; snapshots initiated by the last-joined node",
-              "rate(1/s)");
-  struct Point {
-    const char* label;
-    double rate;
-  };
-  const Point points[] = {{"None", 0},     {"1/32", 1.0 / 32}, {"1/4", 0.25},
-                          {"1/2", 0.5},    {"3/4", 0.75},      {"1", 1.0}};
-  BenchArtifact artifact("fig7_snapshots");
-  for (const Point& p : points) {
-    ChordTestbed bed(PaperTestbed());
-    bed.Run(40);
-    Node* target = bed.last_node();
-    if (p.rate > 0) {
-      for (size_t i = 0; i < bed.size(); ++i) {
-        SnapshotConfig cfg;
-        cfg.snap_period = 1.0 / p.rate;
-        cfg.initiator = (bed.node(i) == target);
-        std::string error;
-        if (!InstallSnapshot(bed.node(i), cfg, &error)) {
-          fprintf(stderr, "install failed: %s\n", error.c_str());
-          return;
-        }
-      }
-    }
-    bed.Run(5);
-    WindowMetrics m = MeasureWindow(&bed, target, 64.0);
-    PrintRow(p.label, m);
-    artifact.Add("snapshot", p.label, p.rate, m);
-  }
-  artifact.Write();
-}
-
-}  // namespace
-}  // namespace p2
-
 int main() {
-  p2::Main();
-  return 0;
+  printf("=== Figure 7: consistent snapshots initiated by the last-joined node of a "
+         "21-node P2-Chord ===\n");
+  return p2::RunFigure(
+      "fig7_snapshots", "snapshot", 64.0, p2::RateSweep([](double period) {
+        return [period](p2::ChordTestbed* bed, p2::Node* target, std::string* error) {
+          for (size_t i = 0; i < bed->size(); ++i) {
+            p2::SnapshotConfig cfg;
+            cfg.snap_period = period;
+            cfg.initiator = (bed->node(i) == target);
+            if (!p2::InstallSnapshot(bed->node(i), cfg, error)) {
+              return false;
+            }
+          }
+          return true;
+        };
+      }));
 }

@@ -1,16 +1,13 @@
-// Quantifies time-travel forensics (docs/OBSERVABILITY.md): the incremental cost
-// of the bounded log-structured retention store over plain execution tracing, and
-// the latency of cross-node causal replay as retained history deepens.
+// Quantifies time-travel forensics (docs/OBSERVABILITY.md): the latency of
+// cross-node causal replay as retained history deepens. The retention store's
+// cost on top of tracing is bench_logging_overhead's "forensics" row.
 //
-// Two series land in BENCH_forensics.json:
-//   retention  — 21-node P2-Chord, 5-min window on the last-joined node, for
-//                tracing off / tracing on / tracing+forensics. The off/on rows
-//                must stay bit-identical to BENCH_logging_overhead.json (the
-//                retention store is a pure observer).
-//   replay     — wall-clock latency of a fleet-wide ReplayChains("*") sweep after
-//                increasingly deep histories. The WindowMetrics columns are
-//                repurposed: cpu_ms_per_s = replay wall ms, memory_mb = retained
-//                store MB, live_tuples = chains returned, tx_msgs = total steps.
+// One 21-node P2-Chord deployment with tracing and retention on; after each
+// deepening run, a fleet-wide ReplayChains("*") sweeps the whole retained
+// window. Per depth (cumulative simulated seconds after the 60 s formation):
+//   replay_wall_ms  budget  wall-clock time of the sweep on this machine
+//   retained_mb     exact   bytes held by every node's retention store
+//   chains, steps   exact   causal chains returned and their total steps
 
 #include <chrono>
 #include <cstdio>
@@ -18,39 +15,13 @@
 #include "bench/bench_common.h"
 #include "src/trace/replay.h"
 
-namespace p2 {
-namespace {
-
-WindowMetrics RunRetention(bool tracing, bool forensics) {
-  ChordTestbed bed(PaperTestbed(21, tracing, forensics));
-  bed.Run(60);  // form and settle the ring
-  return MeasureWindow(&bed, bed.last_node(), 300.0);
-}
-
-void Main() {
-  printf("=== Bounded retention + causal replay (time-travel forensics) ===\n");
+int main() {
+  using namespace p2;
+  printf("=== Causal replay latency vs retained history depth ===\n");
   BenchArtifact artifact("forensics");
-
-  printf("21-node P2-Chord, 5-min measurement window on the last-joined node.\n");
-  WindowMetrics off = RunRetention(false, false);
-  WindowMetrics tracing = RunRetention(true, false);
-  WindowMetrics retained = RunRetention(true, true);
-  PrintHeader("Retention overhead", "config");
-  PrintRow("off", off);
-  PrintRow("tracing", tracing);
-  PrintRow("forensics", retained);
-  artifact.Add("retention", "off", 0, off);
-  artifact.Add("retention", "tracing", 1, tracing);
-  artifact.Add("retention", "forensics", 2, retained);
-  printf("\nRetention on top of tracing: %+.3f ms/sim-s CPU, %+.4f MB table state\n",
-         retained.cpu_ms_per_s - tracing.cpu_ms_per_s,
-         retained.memory_mb - tracing.memory_mb);
-
-  // Replay latency vs history depth: one deployment, sweep the full retained
-  // window after every deepening run. Depths are cumulative simulated seconds.
+  artifact.Param("nodes", 21).Param("formation_s", 60);
   ChordTestbed bed(PaperTestbed(21, true, true));
   bed.Run(60);
-  PrintHeader("Replay latency vs history depth", "depth(s)");
   double depth = 0;
   for (double step : {60.0, 120.0, 240.0}) {
     bed.Run(step);
@@ -77,28 +48,14 @@ void Main() {
         bytes += node->forensics()->Stats().bytes;
       }
     }
-    WindowMetrics m;
-    m.cpu_ms_per_s = wall_ms;
-    m.memory_mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
-    m.live_tuples = static_cast<double>(chains.size());
-    m.tx_msgs = static_cast<double>(steps);
-    char label[32];
-    snprintf(label, sizeof(label), "%.0f", depth);
-    PrintRow(label, m);
-    artifact.Add("replay", label, depth, m);
+    BenchRow row("replay", std::to_string(static_cast<int>(depth)));
+    row.Budget("replay_wall_ms", wall_ms, "ms")
+        .Exact("retained_mb", static_cast<double>(bytes) / (1024.0 * 1024.0), "MB")
+        .Exact("chains", static_cast<double>(chains.size()), "chains", "higher")
+        .Exact("steps", static_cast<double>(steps), "steps", "higher");
+    artifact.Add(row);
   }
-
-  artifact.Write();
-  printf("\nShape check: retention rides the existing trace write path, so its CPU\n"
-         "cost stays a small fraction of tracing itself, and whole-segment drops\n"
-         "keep the store under its byte budget while replay still answers windows\n"
-         "whose live trace rows have long expired.\n");
-}
-
-}  // namespace
-}  // namespace p2
-
-int main() {
-  p2::Main();
-  return 0;
+  printf("\nShape check: whole-segment drops keep the store under its byte budget\n"
+         "while replay still answers windows whose live trace rows have long expired.\n");
+  return artifact.Write() ? 0 : 1;
 }

@@ -11,15 +11,19 @@
 // keeps its control plane intact (the bench fails loudly if a capped run ever
 // sheds a reliable-class tuple or overruns its budget).
 //
-// Per (series, multiplier) row:
-//   * offered/admitted/shed best-effort deliveries over the window and the shed
-//     rate as a percentage of offered;
-//   * p99 strand trigger latency from the strand_trigger_ns histogram (wall
-//     nanoseconds from admission to execution on THIS machine — the paper's
-//     "monitor responsiveness under load" proxy);
-//   * the best-effort queue high-water mark (the memory-bound column);
-//   * degrade enters/exits — capped runs past the watchdog threshold must enter
-//     AND exit (load stops before observation, so a sticky degraded bit is a bug).
+// Per (series, multiplier) row of BENCH_overload.json:
+//   offered, admitted, shed, shed_pct  exact   best-effort deliveries over the
+//                                              window; shed as % of offered
+//   p99_trigger_ms   budget  p99 strand trigger latency from the strand_trigger_ns
+//                            histogram (wall time from admission to execution on
+//                            THIS machine — the paper's "monitor responsiveness
+//                            under load" proxy)
+//   be_queue_hwm     exact   the best-effort queue high-water mark (the
+//                            memory-bound column)
+//   shed_reliable    exact   reliable-class tuples shed (must stay 0)
+//   degrade_enters, degrade_exits, degraded_at_end  exact  capped runs past the
+//                            watchdog threshold must enter AND exit (load stops
+//                            before observation, so a sticky degraded bit is a bug)
 //
 // Usage:  bench_overload [--measure SECS] [--cap N]
 
@@ -35,21 +39,8 @@
 namespace p2 {
 namespace {
 
-struct OverloadRow {
-  int mult = 0;
-  uint64_t offered = 0;
-  uint64_t admitted = 0;
-  uint64_t shed = 0;
-  double shed_pct = 0;
-  double p99_trigger_us = 0;
-  uint64_t be_queue_hwm = 0;
-  uint64_t shed_reliable = 0;
-  uint64_t degrade_enters = 0;
-  uint64_t degrade_exits = 0;
-  bool degraded_at_end = false;
-};
-
-OverloadRow RunLoad(int mult, uint64_t cap, bool capped, double measure_secs) {
+BenchRow RunLoad(const char* series, int mult, uint64_t cap, bool capped,
+                 double measure_secs) {
   NetworkConfig ncfg;
   ncfg.latency = 0.01;
   ncfg.jitter = 0.0;
@@ -86,91 +77,70 @@ OverloadRow RunLoad(int mult, uint64_t cap, bool capped, double measure_secs) {
   uint64_t shed0 = node->stats().shed_besteffort;
   net.RunFor(measure_secs);
 
-  OverloadRow r;
-  r.mult = mult;
-  r.admitted = node->stats().admitted_besteffort - adm0;
-  r.shed = node->stats().shed_besteffort - shed0;
-  r.offered = r.admitted + r.shed;
-  r.shed_pct = r.offered > 0 ? 100.0 * static_cast<double>(r.shed) /
-                                   static_cast<double>(r.offered)
-                             : 0.0;
+  uint64_t admitted = node->stats().admitted_besteffort - adm0;
+  uint64_t shed = node->stats().shed_besteffort - shed0;
+  uint64_t offered = admitted + shed;
+  double p99_trigger_ms = 0;
   if (Histogram* h = node->metrics().GetHistogram("strand_trigger_ns")) {
-    r.p99_trigger_us = static_cast<double>(h->ValueAtQuantile(0.99)) / 1e3;
+    p99_trigger_ms = static_cast<double>(h->ValueAtQuantile(0.99)) / 1e6;
   }
-  r.be_queue_hwm = node->stats().be_queue_hwm;
-  r.shed_reliable = node->stats().shed_reliable;
-  r.degrade_enters = node->stats().degrade_enters;
+  BenchRow row(series, std::to_string(mult) + "x");
+  row.Exact("offered", static_cast<double>(offered), "deliveries")
+      .Exact("admitted", static_cast<double>(admitted), "deliveries", "higher")
+      .Exact("shed", static_cast<double>(shed), "deliveries")
+      .Exact("shed_pct", offered > 0 ? 100.0 * shed / offered : 0.0, "%")
+      .Budget("p99_trigger_ms", p99_trigger_ms, "ms")
+      .Exact("be_queue_hwm", static_cast<double>(node->stats().be_queue_hwm), "tuples")
+      .Exact("shed_reliable", static_cast<double>(node->stats().shed_reliable), "tuples")
+      .Exact("degrade_enters", static_cast<double>(node->stats().degrade_enters),
+             "episodes");
 
   // Drop the load entirely, then give the watchdog time to restore: graceful
   // degradation must be an episode, not a ratchet.
   node->UnloadProgram(node->last_program_id());
   net.RunFor(5.0);
-  r.degrade_exits = node->stats().degrade_exits;
-  r.degraded_at_end = node->degraded();
-  return r;
+  row.Exact("degrade_exits", static_cast<double>(node->stats().degrade_exits), "episodes",
+            "higher")
+      .Exact("degraded_at_end", node->degraded() ? 1 : 0, "bool");
+  return row;
 }
 
-void Main(double measure_secs, uint64_t cap) {
+int Main(double measure_secs, uint64_t cap) {
   printf("=== overload sweep: periodic fan-out, 100 ms period, cap=%llu ===\n",
          static_cast<unsigned long long>(cap));
-  printf("%-10s %-6s %10s %10s %9s %8s %12s %9s %8s %9s\n", "series", "load",
-         "offered", "admitted", "shed", "shed(%)", "p99-trig(us)", "be-hwm",
-         "degrade", "restored");
   BenchArtifact artifact("overload");
+  artifact.Param("measure_s", measure_secs).Param("cap", static_cast<double>(cap))
+      .Param("period_s", 0.1);
   bool ok = true;
   for (bool capped : {false, true}) {
     const char* series = capped ? "capped" : "uncapped";
     for (int mult : {1, 2, 5, 10, 20}) {
-      OverloadRow r = RunLoad(mult, cap, capped, measure_secs);
-      bool restored = r.degrade_enters == 0 || (!r.degraded_at_end && r.degrade_exits > 0);
-      printf("%-10s %-6s %10llu %10llu %9llu %8.2f %12.1f %9llu %3llu/%-3llu %9s\n",
-             series, (std::to_string(mult) + "x").c_str(),
-             static_cast<unsigned long long>(r.offered),
-             static_cast<unsigned long long>(r.admitted),
-             static_cast<unsigned long long>(r.shed), r.shed_pct, r.p99_trigger_us,
-             static_cast<unsigned long long>(r.be_queue_hwm),
-             static_cast<unsigned long long>(r.degrade_enters),
-             static_cast<unsigned long long>(r.degrade_exits),
-             restored ? "yes" : "NO");
-      // Artifact mapping (p2mon-bench-v1 fixed schema): cpu_ms_per_s carries the
-      // p99 trigger latency in ms, cpu_pct the shed rate in percent, memory_mb the
-      // best-effort queue high-water mark, alloc_mb_per_s the degrade-enter count;
-      // live_tuples/tx_msgs carry admitted/shed delivery counts.
-      WindowMetrics m;
-      m.cpu_ms_per_s = r.p99_trigger_us / 1e3;
-      m.cpu_pct = r.shed_pct;
-      m.memory_mb = static_cast<double>(r.be_queue_hwm);
-      m.alloc_mb_per_s = static_cast<double>(r.degrade_enters);
-      m.live_tuples = static_cast<double>(r.admitted);
-      m.tx_msgs = static_cast<double>(r.shed);
-      artifact.Add(series, std::to_string(mult) + "x", mult, m);
-
-      if (capped) {
-        if (r.be_queue_hwm > cap) {
-          printf("BOUND FAILURE at %dx: be_queue_hwm %llu > cap %llu\n", mult,
-                 static_cast<unsigned long long>(r.be_queue_hwm),
-                 static_cast<unsigned long long>(cap));
-          ok = false;
-        }
-        if (r.shed_reliable > 0) {
-          printf("CONTROL-PLANE FAILURE at %dx: %llu reliable tuples shed\n", mult,
-                 static_cast<unsigned long long>(r.shed_reliable));
-          ok = false;
-        }
-        if (!restored) {
-          printf("RECOVERY FAILURE at %dx: still degraded after load removal\n",
-                 mult);
-          ok = false;
-        }
+      BenchRow r = RunLoad(series, mult, cap, capped, measure_secs);
+      artifact.Add(r);
+      if (!capped) {
+        continue;
+      }
+      if (r.Value("be_queue_hwm") > static_cast<double>(cap)) {
+        printf("BOUND FAILURE at %dx: be_queue_hwm %g > cap %llu\n", mult,
+               r.Value("be_queue_hwm"), static_cast<unsigned long long>(cap));
+        ok = false;
+      }
+      if (r.Value("shed_reliable") > 0) {
+        printf("CONTROL-PLANE FAILURE at %dx: %g reliable tuples shed\n", mult,
+               r.Value("shed_reliable"));
+        ok = false;
+      }
+      if (r.Value("degrade_enters") > 0 &&
+          (r.Value("degraded_at_end") > 0 || r.Value("degrade_exits") == 0)) {
+        printf("RECOVERY FAILURE at %dx: still degraded after load removal\n", mult);
+        ok = false;
       }
     }
   }
-  artifact.Write();
+  ok = artifact.Write() && ok;
   printf("capped runs bounded, control plane intact, degradation restored: %s\n",
          ok ? "OK" : "FAILED");
-  if (!ok) {
-    exit(1);
-  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -189,6 +159,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  p2::Main(measure, cap);
-  return 0;
+  return p2::Main(measure, cap);
 }

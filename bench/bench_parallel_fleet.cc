@@ -1,19 +1,18 @@
 // Scaling baseline for the sharded parallel fleet runtime (docs/SCALING.md).
 //
-// Runs the same 256-node monitored Chord deployment (ring checks fleet-wide,
-// consistency probes at the initiator) at K = 1, 2, 4, 8 worker shards and reports,
-// per K:
-//   * wall-clock seconds of the measurement window on THIS machine (honest number:
-//     on a single-core host the threaded runtime cannot beat K=1);
-//   * the conservative-window critical path — per window, the busiest shard's
-//     execution time, summed — which models the wall clock of a K-core host;
-//   * modeled speedup = total shard busy time / critical path (perfectly balanced
-//     shards with no barrier stalls would approach K);
-//   * window/cross-shard-message counts from the shard scheduler;
-//   * the determinism columns: tx_msgs, live_tuples, and ring correctness must be
-//     bit-identical across every K (the bench fails loudly when they diverge).
+// Runs the same monitored Chord deployment (ring checks fleet-wide, consistency
+// probes every 7th node) at K = 1, 2, 4, 8 worker shards and measures one window
+// on a formed ring. Per K, one row of BENCH_parallel_fleet.json: wall_ms (real
+// time inside Run on THIS machine; a 1-core host cannot beat K=1),
+// critical_path_s (per window, the busiest shard's execution time, summed: the
+// modeled wall clock of a K-core host), busy_s (summed over shards),
+// modeled_speedup (busy_s / critical_path_s), the shard scheduler's windows and
+// cross_shard_msgs, arena_fresh_mb_per_s (heap MB, 10^6 B, the tuple arena
+// obtained per simulated second: the recycler's miss rate, 0 in steady state),
+// and tx_msgs, live_tuples, correct_succ and window_open_s, which must also be
+// identical across every K (the bench fails when they diverge).
 //
-// Usage:  bench_parallel_fleet [--nodes N] [--measure SECS]
+// Usage:  bench_parallel_fleet [--nodes N] [--measure SECS] [--stagger SECS]
 
 #include <chrono>
 #include <cstdio>
@@ -30,28 +29,15 @@
 namespace p2 {
 namespace {
 
-struct ShardRow {
-  int shards = 0;
-  double wall_secs = 0;          // real time spent inside Run during the window
-  double critical_path_secs = 0; // modeled K-core wall clock of the whole run
-  double busy_secs = 0;          // total execution time across all shards
-  double modeled_speedup = 1;    // busy / critical path
-  uint64_t windows = 0;
-  uint64_t cross_shard_msgs = 0;
-  // Fresh heap megabytes obtained by the tuple arena per simulated second of the
-  // measurement window. TupleArena::FreshBytes is a process-global counter that
-  // every thread feeds (including the K=1 single-threaded run — the old window
-  // counter this column carried was 0 at K=1), so the column is live at every K.
-  // It is the steady-state recycler miss rate.
-  double alloc_mb_per_s = 0;
-  // Determinism columns — must match K=1 exactly.
-  uint64_t tx_msgs = 0;
-  uint64_t live_tuples = 0;
-  int correct_succ = 0;
-};
+// The window opens only on a formed ring (every successor correct), checked every
+// kSettleStep sim-s, and no sooner than kMonitorWarmup after the monitors went in:
+// the consistency probes' tables live 100 s. A ring still unformed at
+// kFormationDeadline fails the bench. These are perfbench's horizon and warm-up.
+constexpr double kSettleStep = 10.0;
+constexpr double kMonitorWarmup = 120.0;
+constexpr double kFormationDeadline = 2400.0;
 
-ShardRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger,
-                  double settle_secs) {
+BenchRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger) {
   TestbedConfig cfg;
   cfg.num_nodes = num_nodes;
   cfg.fleet.shards = shards;
@@ -102,8 +88,21 @@ ShardRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger
     }
   }
 
-  // Let the ring converge and the monitors reach steady state before measuring.
-  bed.Run(settle_secs);
+  const double installed_at = bed.network().Now();
+  for (;;) {
+    bool formed = bed.CorrectSuccessorCount() == num_nodes;
+    if (formed && bed.network().Now() - installed_at >= kMonitorWarmup) {
+      break;
+    }
+    if (!formed && bed.network().Now() >= kFormationDeadline) {
+      fprintf(stderr, "K=%d: ring %d/%d correct at t=%g, not formed by t=%g\n", shards,
+              bed.CorrectSuccessorCount(), num_nodes, bed.network().Now(),
+              kFormationDeadline);
+      exit(1);
+    }
+    bed.Run(kSettleStep);
+  }
+  const double window_open = bed.network().Now();
 
   // Steady-state deltas: exclude the (inherently bursty) join/warm-up phase from
   // the scaling columns.
@@ -124,83 +123,61 @@ ShardRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   uint64_t fresh1 = TupleArena::FreshBytes();
 
-  ShardRow row;
-  row.shards = bed.network().shard_count();
-  row.wall_secs = wall;
-  row.critical_path_secs =
-      static_cast<double>(bed.network().critical_path_ns() - crit0) / 1e9;
-  row.windows = bed.network().windows() - windows0;
   uint64_t busy1 = 0;
   uint64_t xmsgs1 = 0;
   for (const Network::ShardStats& s : bed.network().ShardStatsSnapshot()) {
     busy1 += s.busy_ns;
     xmsgs1 += s.sent_cross_shard;
   }
-  row.busy_secs = static_cast<double>(busy1 - busy0) / 1e9;
-  row.cross_shard_msgs = xmsgs1 - xmsgs0;
-  row.modeled_speedup =
-      row.critical_path_secs > 0 ? row.busy_secs / row.critical_path_secs : 1;
-  row.alloc_mb_per_s =
-      static_cast<double>(fresh1 - fresh0) / 1e6 / measure_secs;
-  row.tx_msgs = bed.network().total_msgs() - tx0;
+  double critical_path_s =
+      static_cast<double>(bed.network().critical_path_ns() - crit0) / 1e9;
+  double busy_s = static_cast<double>(busy1 - busy0) / 1e9;
+  uint64_t live_tuples = 0;
   for (Node* node : bed.nodes()) {
-    row.live_tuples += node->catalog().TotalRows(bed.network().Now());
+    live_tuples += node->catalog().TotalRows(bed.network().Now());
   }
-  row.correct_succ = bed.CorrectSuccessorCount();
+  BenchRow row("shards", std::to_string(bed.network().shard_count()));
+  row.Budget("wall_ms", wall * 1000.0, "ms")
+      .Info("critical_path_s", critical_path_s, "s", "lower")
+      .Info("busy_s", busy_s, "s", "lower")
+      .Info("modeled_speedup", critical_path_s > 0 ? busy_s / critical_path_s : 1, "x",
+            "higher")
+      .Exact("windows", static_cast<double>(bed.network().windows() - windows0), "windows")
+      .Exact("cross_shard_msgs", static_cast<double>(xmsgs1 - xmsgs0), "msgs")
+      .Exact("arena_fresh_mb_per_s", static_cast<double>(fresh1 - fresh0) / 1e6 / measure_secs,
+             "MB/s")
+      .Exact("tx_msgs", static_cast<double>(bed.network().total_msgs() - tx0), "msgs")
+      .Exact("live_tuples", static_cast<double>(live_tuples), "rows")
+      .Exact("correct_succ", bed.CorrectSuccessorCount(), "nodes", "higher")
+      .Exact("window_open_s", window_open, "s");
   return row;
 }
 
-void Main(int num_nodes, double measure_secs, double stagger, double settle) {
+int Main(int num_nodes, double measure_secs, double stagger) {
   printf("=== parallel fleet scaling: %d-node monitored Chord, %g s window ===\n",
          num_nodes, measure_secs);
-  printf("%-7s %10s %13s %10s %9s %9s %10s %10s %12s %12s %9s\n", "shards",
-         "wall(s)", "critpath(s)", "busy(s)", "modeled", "windows", "xmsgs",
-         "alloc-MB/s", "tx-msgs", "live-tuples", "succ-ok");
   BenchArtifact artifact("parallel_fleet");
-  std::vector<ShardRow> rows;
-  for (int shards : {1, 2, 4, 8}) {
-    ShardRow r = RunFleet(shards, num_nodes, measure_secs, stagger, settle);
-    printf("%-7d %10.2f %13.3f %10.3f %8.2fx %9llu %10llu %10.2f %12llu %12llu "
-           "%6d/%d\n",
-           r.shards, r.wall_secs, r.critical_path_secs, r.busy_secs,
-           r.modeled_speedup, static_cast<unsigned long long>(r.windows),
-           static_cast<unsigned long long>(r.cross_shard_msgs), r.alloc_mb_per_s,
-           static_cast<unsigned long long>(r.tx_msgs),
-           static_cast<unsigned long long>(r.live_tuples), r.correct_succ, num_nodes);
-    // Artifact mapping (p2mon-bench-v1 fixed schema): cpu_ms_per_s carries the wall
-    // clock in ms, cpu_pct the modeled speedup, memory_mb the critical path in
-    // seconds, alloc_mb_per_s the arena fresh-allocation rate (MB per simulated
-    // second); live_tuples/tx_msgs are themselves.
-    WindowMetrics m;
-    m.cpu_ms_per_s = r.wall_secs * 1000.0;
-    m.cpu_pct = r.modeled_speedup;
-    m.memory_mb = r.critical_path_secs;
-    m.alloc_mb_per_s = r.alloc_mb_per_s;
-    m.live_tuples = static_cast<double>(r.live_tuples);
-    m.tx_msgs = static_cast<double>(r.tx_msgs);
-    artifact.Add("shards", std::to_string(shards), shards, m);
-    rows.push_back(r);
-  }
-  artifact.Write();
-
+  artifact.Param("nodes", num_nodes).Param("measure_s", measure_secs)
+      .Param("stagger_s", stagger).Param("monitor_warmup_s", kMonitorWarmup)
+      .Param("formation_deadline_s", kFormationDeadline);
+  std::vector<BenchRow> rows;
   bool identical = true;
-  for (const ShardRow& r : rows) {
-    if (r.tx_msgs != rows[0].tx_msgs || r.live_tuples != rows[0].live_tuples ||
-        r.correct_succ != rows[0].correct_succ) {
-      identical = false;
-      printf("DETERMINISM FAILURE at shards=%d: tx=%llu/%llu live=%llu/%llu "
-             "succ=%d/%d\n",
-             r.shards, static_cast<unsigned long long>(r.tx_msgs),
-             static_cast<unsigned long long>(rows[0].tx_msgs),
-             static_cast<unsigned long long>(r.live_tuples),
-             static_cast<unsigned long long>(rows[0].live_tuples), r.correct_succ,
-             rows[0].correct_succ);
+  for (int shards : {1, 2, 4, 8}) {
+    rows.push_back(RunFleet(shards, num_nodes, measure_secs, stagger));
+    artifact.Add(rows.back());
+    for (const char* name : {"tx_msgs", "live_tuples", "correct_succ", "window_open_s"}) {
+      if (rows.back().Value(name) != rows[0].Value(name)) {
+        identical = false;
+        printf("DETERMINISM FAILURE: %s %g at K=1, %g at K=%d\n", name,
+               rows[0].Value(name), rows.back().Value(name), shards);
+      }
     }
   }
-  printf("determinism across shard counts: %s\n", identical ? "OK" : "FAILED");
-  if (!identical) {
-    exit(1);
+  if (!artifact.Write()) {
+    return 1;
   }
+  printf("determinism across shard counts: %s\n", identical ? "OK" : "FAILED");
+  return identical ? 0 : 1;
 }
 
 }  // namespace
@@ -210,7 +187,6 @@ int main(int argc, char** argv) {
   int nodes = 256;
   double measure = 30.0;
   double stagger = 0.25;
-  double settle = 120.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
       nodes = std::atoi(argv[++i]);
@@ -218,15 +194,12 @@ int main(int argc, char** argv) {
       measure = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--stagger") == 0 && i + 1 < argc) {
       stagger = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--settle") == 0 && i + 1 < argc) {
-      settle = std::atof(argv[++i]);
     } else {
       fprintf(stderr,
               "usage: bench_parallel_fleet [--nodes N] [--measure SECS] "
-              "[--stagger SECS] [--settle SECS]\n");
+              "[--stagger SECS]\n");
       return 2;
     }
   }
-  p2::Main(nodes, measure, stagger, settle);
-  return 0;
+  return p2::Main(nodes, measure, stagger);
 }

@@ -15,14 +15,12 @@
 //     every DHT get must come back with the value that was put. The bench fails
 //     loudly when the backends disagree.
 //
+// BENCH_udp_fleet.json holds a "udp" row (wall-paced, so its rates and counts are
+// reported only; the parity columns correct_succ and shed_reliable are exact) and a
+// "sim" row whose counts are deterministic.
+//
 // Usage:  bench_udp_fleet [--nodes N] [--measure SECS] [--settle SECS]
 //                         [--stagger SECS]
-//
-// Artifact mapping (p2mon-bench-v1 fixed schema, BENCH_udp_fleet.json):
-// cpu_ms_per_s carries envelopes per wall second, cpu_pct the batching ratio,
-// memory_mb datagrams per wall second (in thousands), alloc_mb_per_s megabytes
-// on the wire per wall second, live_tuples/tx_msgs are themselves (tx_msgs =
-// datagrams sent during the window).
 
 #include <chrono>
 #include <cstdio>
@@ -170,45 +168,35 @@ void Main(int nodes, double stagger, double settle, double measure) {
 
   WorkloadResult udp =
       RunDeployment(FleetBackend::kUdp, nodes, stagger, settle, measure);
-  double env_per_s = udp.envelopes / udp.wall_secs;
-  double dg_per_s = udp.datagrams / udp.wall_secs;
-  printf("udp:  %.0f envelopes/s over %.0f datagrams/s (batch %.2fx), "
-         "%.2f MB/s on the wire\n",
-         env_per_s, dg_per_s, udp.batch_ratio,
-         static_cast<double>(udp.wire_bytes) / 1e6 / udp.wall_secs);
-  printf("udp:  ring %d/%d correct, gets %llu answered / %llu correct, "
-         "shed_reliable=%llu\n",
-         udp.correct_succ, nodes,
-         static_cast<unsigned long long>(udp.gets_answered),
-         static_cast<unsigned long long>(udp.gets_correct),
-         static_cast<unsigned long long>(udp.shed_reliable));
-
   WorkloadResult sim =
       RunDeployment(FleetBackend::kSim, nodes, stagger, settle, measure);
-  printf("sim:  ring %d/%d correct, gets %llu answered / %llu correct\n",
-         sim.correct_succ, nodes,
-         static_cast<unsigned long long>(sim.gets_answered),
-         static_cast<unsigned long long>(sim.gets_correct));
 
   BenchArtifact artifact("udp_fleet");
-  WindowMetrics m;
-  m.cpu_ms_per_s = env_per_s;
-  m.cpu_pct = udp.batch_ratio;
-  m.memory_mb = dg_per_s / 1000.0;
-  m.alloc_mb_per_s = static_cast<double>(udp.wire_bytes) / 1e6 / udp.wall_secs;
-  m.live_tuples = static_cast<double>(udp.live_tuples);
-  m.tx_msgs = static_cast<double>(udp.datagrams);
-  artifact.Add("udp", std::to_string(nodes), nodes, m);
-  WindowMetrics p;
-  p.cpu_pct = 1.0;
-  p.live_tuples = static_cast<double>(sim.live_tuples);
-  p.tx_msgs = static_cast<double>(sim.gets_correct);
-  artifact.Add("sim_parity", std::to_string(nodes), nodes, p);
-  artifact.Write();
+  artifact.Param("nodes", nodes).Param("stagger_s", stagger).Param("settle_s", settle)
+      .Param("measure_s", measure);
+  BenchRow u("udp", std::to_string(nodes));
+  u.Info("envelopes_per_s", udp.envelopes / udp.wall_secs, "envelopes/s", "higher")
+      .Info("datagrams_per_s", udp.datagrams / udp.wall_secs, "datagrams/s", "higher")
+      .Info("batch_ratio", udp.batch_ratio, "envelopes/datagram", "higher")
+      .Info("wire_mb_per_s", static_cast<double>(udp.wire_bytes) / 1e6 / udp.wall_secs,
+            "MB/s", "lower")
+      .Info("datagrams", static_cast<double>(udp.datagrams), "datagrams", "lower")
+      .Info("live_tuples", static_cast<double>(udp.live_tuples), "rows", "lower")
+      .Info("gets_answered", static_cast<double>(udp.gets_answered), "gets", "higher")
+      .Info("gets_correct", static_cast<double>(udp.gets_correct), "gets", "higher")
+      .Exact("correct_succ", udp.correct_succ, "nodes", "higher")
+      .Exact("shed_reliable", static_cast<double>(udp.shed_reliable), "tuples");
+  artifact.Add(u);
+  BenchRow p("sim", std::to_string(nodes));
+  p.Exact("correct_succ", sim.correct_succ, "nodes", "higher")
+      .Exact("live_tuples", static_cast<double>(sim.live_tuples), "rows")
+      .Exact("gets_answered", static_cast<double>(sim.gets_answered), "gets", "higher")
+      .Exact("gets_correct", static_cast<double>(sim.gets_correct), "gets", "higher");
+  artifact.Add(p);
+  bool ok = artifact.Write();
 
   // Parity gate: both backends must converge the same ground-truth ring and
   // serve the workload correctly; the udp transport must shed nothing reliable.
-  bool ok = true;
   if (udp.correct_succ != nodes || sim.correct_succ != nodes) {
     printf("PARITY FAILURE: ring correct_succ udp=%d sim=%d expected=%d\n",
            udp.correct_succ, sim.correct_succ, nodes);

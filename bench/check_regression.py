@@ -1,99 +1,101 @@
 #!/usr/bin/env python3
-"""Allocation/CPU budget gate for bench artifacts (stdlib only).
+"""Kind-aware gate for bench artifacts (stdlib only).
 
-Compares a freshly produced p2mon-bench-v1 artifact against a committed
-baseline and fails (exit 1) when a budgeted metric regresses beyond the
-allowed ratio. Used by CI's allocation-budget smoke step, which runs
-bench_parallel_fleet in short mode and gates on the committed
-BENCH_parallel_fleet_smoke.json (docs/SCALING.md "Memory model &
-hot paths").
+Compares a fresh BENCH_<name>.json against a committed baseline, using only
+what the baseline holds (format: bench/bench_artifact.h). Each baseline
+metric is gated by its kind:
 
-Budgeted metrics (lower is better): cpu_ms_per_s, alloc_mb_per_s.
-Determinism columns (live_tuples, tx_msgs) must match the baseline
-exactly — a drift there is an engine-behavior change, not noise.
+  exact   must equal the baseline (a determinism column);
+  budget  must not exceed the baseline times the metric's stored tolerance;
+  info    printed only.
+
+A pair whose bench, schema, build type or parameters differ is refused: its
+numbers are not comparable. So is a budget whose baseline is zero or less,
+where a ratio would leave no room at all; a quantity that is rightly zero is
+deterministic and is recorded as exact.
+
+Exit status: 0 when every gate holds, 1 on a regression, 2 when refused.
 
 Usage:
-  check_regression.py BASELINE.json FRESH.json [--max-regress 1.25]
+  check_regression.py BASELINE.json FRESH.json
 """
 
-import argparse
 import json
 import sys
 
-BUDGET_METRICS = ("cpu_ms_per_s", "alloc_mb_per_s")
-EXACT_METRICS = ("live_tuples", "tx_msgs")
-# Below this absolute level a metric is noise-dominated on shared CI
-# runners; ratios against it are meaningless, so tiny baselines are
-# compared against an absolute floor instead.
-ABS_FLOOR = {"cpu_ms_per_s": 50.0, "alloc_mb_per_s": 1.0}
+SCHEMA = "p2mon-bench-v2"
+COMPARABLE = ("bench", "schema", "build_type", "params")
 
 
-def load_rows(path):
+def refuse(message):
+    print(f"refused: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def load(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "p2mon-bench-v1":
-        sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
-    return doc.get("bench", "?"), {
-        (r.get("series"), r.get("x")): r for r in doc.get("rows", [])
-    }
+    if doc.get("schema") != SCHEMA:
+        refuse(f"{path}: schema {doc.get('schema')!r}, expected {SCHEMA!r}")
+    return doc
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline")
-    ap.add_argument("fresh")
-    ap.add_argument(
-        "--max-regress",
-        type=float,
-        default=1.25,
-        help="fail when fresh/baseline exceeds this ratio (default 1.25)",
-    )
-    args = ap.parse_args()
+def show(value):
+    return "null" if value is None else f"{value:.6g}"
 
-    base_name, base = load_rows(args.baseline)
-    fresh_name, fresh = load_rows(args.fresh)
-    if base_name != fresh_name:
-        sys.exit(f"bench mismatch: baseline={base_name} fresh={fresh_name}")
 
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    base, fresh = load(argv[1]), load(argv[2])
+    for field in COMPARABLE:
+        if base.get(field) != fresh.get(field):
+            refuse(f"{field} differs: baseline {base.get(field)!r}, "
+                   f"fresh {fresh.get(field)!r}")
+    print(f"{base['bench']}: baseline {base.get('commit')}, "
+          f"fresh {fresh.get('commit')} ({fresh['build_type']})")
+
+    fresh_rows = {(r["series"], r["x"]): r["metrics"] for r in fresh["rows"]}
     failures = []
-    for key, brow in sorted(base.items()):
-        frow = fresh.get(key)
-        label = f"{key[0]}={key[1]}"
-        if frow is None:
+    for row in base["rows"]:
+        label = f"{row['series']}={row['x']}"
+        got = fresh_rows.get((row["series"], row["x"]))
+        if got is None:
             failures.append(f"{label}: row missing from fresh artifact")
             continue
-        for m in EXACT_METRICS:
-            if m in brow and frow.get(m) != brow[m]:
-                failures.append(
-                    f"{label}: {m} drifted {brow[m]} -> {frow.get(m)} "
-                    f"(determinism contract, must match exactly)"
-                )
-        for m in BUDGET_METRICS:
-            if m not in brow:
+        for name, metric in row["metrics"].items():
+            kind, bv = metric["kind"], metric["value"]
+            if name not in got:
+                failures.append(f"{label}: {name} missing from fresh artifact")
                 continue
-            bv, fv = float(brow[m]), float(frow.get(m, 0.0))
-            # Allow the ratio OR the absolute floor, whichever is looser:
-            # a 0.4ms baseline jumping to 0.7ms is runner noise, not a leak.
-            limit = max(bv * args.max_regress, ABS_FLOOR.get(m, 0.0))
-            status = "FAIL" if fv > limit else "ok"
-            print(
-                f"{label:14s} {m:15s} base={bv:10.3f} fresh={fv:10.3f} "
-                f"limit={limit:10.3f}  {status}"
-            )
-            if fv > limit:
-                failures.append(
-                    f"{label}: {m} regressed {bv:.3f} -> {fv:.3f} "
-                    f"(limit {limit:.3f})"
-                )
+            fv = got[name]["value"]
+            if kind == "exact":
+                ok, rule = fv == bv, "must equal"
+            elif kind == "budget":
+                if bv is None or bv <= 0:
+                    refuse(f"{label}: budget {name} has baseline {show(bv)}; "
+                           f"record a zero quantity as exact")
+                limit = bv * metric["tolerance"]
+                ok, rule = fv is not None and fv <= limit, f"limit {limit:.6g}"
+            elif kind == "info":
+                ok, rule = True, ""
+            else:
+                refuse(f"{label}: {name} has unknown kind {kind!r}")
+            print(f"{label:20s} {name:24s} {kind:6s} base={show(bv):>12s} "
+                  f"fresh={show(fv):>12s} {rule:18s} {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(f"{label}: {kind} {name} {show(bv)} -> "
+                                f"{show(fv)} ({rule})")
 
     if failures:
-        print(f"\n{len(failures)} budget violation(s):", file=sys.stderr)
+        print(f"\n{len(failures)} regression(s):", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print("\nall budgets hold")
+    print("\nall gates hold")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

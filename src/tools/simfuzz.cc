@@ -18,8 +18,8 @@
 //           [--limits]                    run every node under the canonical overload
 //                                         limits (arms the overload oracle)
 //           [--broken-oracle]             plant the test-only always-wrong oracle
-//           [--bench]                     write BENCH_simfuzz.json (wall clock,
-//                                         iterations/sec) via bench_common
+//           [--bench]                     write BENCH_simfuzz.json (wall clock per
+//                                         iteration, iterations/sec)
 //           [--list-oracles]              print the oracle library and exit
 //
 // Exit status: 0 when every run passed, 1 on any oracle violation or script error,
@@ -33,7 +33,7 @@
 #include <sstream>
 #include <string>
 
-#include "bench/bench_common.h"
+#include "bench/bench_artifact.h"
 #include "src/simtest/simfuzz.h"
 
 namespace {
@@ -270,17 +270,20 @@ int main(int argc, char** argv) {
          virtual_secs / std::max(wall_secs, 1e-9));
 
   if (bench) {
-    // Harness-throughput artifact (docs/OBSERVABILITY.md schema): cpu_ms_per_s is
-    // wall milliseconds per fuzz iteration, cpu_pct is iterations/sec x100 spiritual
-    // equivalent left 0; tx_msgs and live_tuples carry totals.
-    p2::WindowMetrics m;
-    m.cpu_ms_per_s = ran > 0 ? wall_secs * 1000.0 / ran : 0;  // ms per iteration
-    m.cpu_pct = ran / std::max(wall_secs, 1e-9);              // iterations per sec
-    m.alloc_mb_per_s = virtual_secs / std::max(wall_secs, 1e-9);  // sim-s per wall-s
-    m.live_tuples = ran;
-    m.tx_msgs = static_cast<double>(total_msgs);
+    // Harness throughput (bench/bench_artifact.h, docs/OBSERVABILITY.md).
     p2::BenchArtifact artifact("simfuzz");
-    artifact.Add(profile_name, "iters", ran, m);
+    artifact.Param("seed", static_cast<double>(seed)).Param("iters", iters)
+        .Param("profile", profile_name).Param("nodes", nodes).Param("shards", shards)
+        .Param("limits", opts.ablation.overload_limits ? 1 : 0)
+        .Param("differential", differential ? 1 : 0);
+    p2::BenchRow row(profile_name, "iters");
+    row.Budget("ms_per_iter", ran > 0 ? wall_secs * 1000.0 / ran : 0, "ms")
+        .Info("iters_per_s", ran / std::max(wall_secs, 1e-9), "iters/s", "higher")
+        .Info("sim_s_per_wall_s", virtual_secs / std::max(wall_secs, 1e-9), "x",
+              "higher")
+        .Exact("runs", ran, "runs", "higher")
+        .Exact("msgs", static_cast<double>(total_msgs), "msgs");
+    artifact.Add(row);
     artifact.Write();
   }
   return failures > 0 ? 1 : 0;
